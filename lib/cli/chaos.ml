@@ -1,13 +1,7 @@
 module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
 module Engine = Rumor_sim.Engine
 module Invariant = Rumor_sim.Invariant
-module Topology = Rumor_sim.Topology
 module Trace = Rumor_sim.Trace
-module Overlay = Rumor_p2p.Overlay
-module Churn = Rumor_p2p.Churn
-module Run_ = Rumor_core.Run
-module Repair = Rumor_core.Repair
 
 (* --- trajectory digests ------------------------------------------- *)
 
@@ -78,109 +72,6 @@ type outcome = {
 
 let failed o = o.violation_count > 0 || o.error <> None
 
-let run_raw ?monitor (s : Scenario.t) =
-  let rng = Rng.create s.Scenario.seed in
-  if Scenario.is_implicit s.Scenario.topology then begin
-    (* Implicit views run straight on the kernel: no graph, no
-       overlay. Churn is impossible here (parse rejects it), every
-       other fault axis behaves exactly as on a materialised graph. *)
-    let topology =
-      Scenario.make_topology ~rng ~topology:s.Scenario.topology
-        ~n:s.Scenario.n ~d:s.Scenario.d
-    in
-    let n_real = topology.Topology.capacity in
-    let n_estimate =
-      int_of_float (ceil (s.Scenario.n_error *. float_of_int n_real))
-    in
-    let protocol =
-      Scenario.make_protocol ~n_estimate ~protocol:s.Scenario.protocol
-        ~n:n_real ~d:s.Scenario.d ~alpha:s.Scenario.alpha
-        ~fanout:s.Scenario.fanout ()
-    in
-    let fault = Scenario.fault_plan s in
-    let stop =
-      s.Scenario.protocol <> "bef" && s.Scenario.protocol <> "bef-seq"
-    in
-    let source = Rng.int rng n_real in
-    match
-      if s.Scenario.max_epochs > 0 then
-        Some
-          (Repair.config ~timeout:s.Scenario.repair_timeout
-             ~backoff_cap:(max s.Scenario.repair_backoff 1)
-             ~max_epochs:s.Scenario.max_epochs ~n:n_real ())
-      else None
-    with
-    | Some config ->
-        Repair.self_heal ~fault ~collect_trace:true ?monitor ~config ~rng
-          ~topology ~protocol ~sources:[ source ] ()
-    | None ->
-        Engine.run ~fault ~collect_trace:true ~stop_when_complete:stop
-          ?monitor ~rng ~topology ~protocol ~sources:[ source ] ()
-  end
-  else
-  let g =
-    Scenario.make_graph ~rng ~topology:s.Scenario.topology ~n:s.Scenario.n
-      ~d:s.Scenario.d
-  in
-  let n_real = Graph.n g in
-  let n_estimate =
-    int_of_float (ceil (s.Scenario.n_error *. float_of_int n_real))
-  in
-  let protocol =
-    Scenario.make_protocol ~n_estimate ~protocol:s.Scenario.protocol ~n:n_real
-      ~d:s.Scenario.d ~alpha:s.Scenario.alpha ~fanout:s.Scenario.fanout ()
-  in
-  let fault = Scenario.fault_plan s in
-  let stop =
-    s.Scenario.protocol <> "bef" && s.Scenario.protocol <> "bef-seq"
-  in
-  let repair_config =
-    if s.Scenario.max_epochs > 0 then
-      Some
-        (Repair.config ~timeout:s.Scenario.repair_timeout
-           ~backoff_cap:(max s.Scenario.repair_backoff 1)
-           ~max_epochs:s.Scenario.max_epochs ~n:n_real ())
-    else None
-  in
-  let source = Run_.random_source rng g in
-  let churn_on = s.Scenario.join_prob > 0. || s.Scenario.leave_prob > 0. in
-  if churn_on then begin
-    let o = Overlay.of_graph ~capacity:(2 * n_real) g in
-    let topology = Overlay.to_topology o in
-    let joined = ref [] in
-    let on_round_end _ =
-      let ev =
-        Churn.session o ~rng ~d:s.Scenario.d ~join_prob:s.Scenario.join_prob
-          ~leave_prob:s.Scenario.leave_prob ()
-      in
-      match ev.Churn.joined with
-      | Some v -> joined := v :: !joined
-      | None -> ()
-    in
-    let reset () =
-      let l = !joined in
-      joined := [];
-      l
-    in
-    match repair_config with
-    | Some config ->
-        Repair.self_heal ~fault ~collect_trace:true ~reset ~on_round_end
-          ?monitor ~config ~rng ~topology ~protocol ~sources:[ source ] ()
-    | None ->
-        Engine.run ~fault ~collect_trace:true ~forget_on_recover:true ~reset
-          ~on_round_end ~stop_when_complete:stop ?monitor ~rng ~topology
-          ~protocol ~sources:[ source ] ()
-  end
-  else
-    match repair_config with
-    | Some config ->
-        Repair.heal ~fault ~collect_trace:true ?monitor ~config ~rng ~graph:g
-          ~protocol ~source ()
-    | None ->
-        Engine.run ~fault ~collect_trace:true ~stop_when_complete:stop
-          ?monitor ~rng ~topology:(Topology.of_graph g) ~protocol
-          ~sources:[ source ] ()
-
 let run_one ?(check = true) (s : Scenario.t) =
   let monitor = if check then Some (Invariant.create ()) else None in
   let finish digest error rounds coverage completed =
@@ -202,7 +93,9 @@ let run_one ?(check = true) (s : Scenario.t) =
       completed;
     }
   in
-  match run_raw ?monitor s with
+  match
+    Scenario.run_rep ~collect_trace:true ?monitor s (Rng.create s.Scenario.seed)
+  with
   | r ->
       finish (digest_of_result r) None r.Engine.rounds (Engine.coverage r)
         (Engine.success r)
@@ -303,7 +196,7 @@ let shrink_steps (s : Scenario.t) =
       { s with crash_adversary = "none"; crash_count = 0; strike_every = 0 };
       { s with strike_every = 0 };
       { s with partition_round = 0; heal_round = 0 };
-      { s with join_prob = 0.; leave_prob = 0. };
+      { s with join_prob = 0.; leave_prob = 0.; churn_rate = -1. };
       { s with max_epochs = 0 };
       { s with n_error = 1. };
       { s with n = max 64 (s.n / 2) };
@@ -334,55 +227,13 @@ let shrink ?(budget = 40) ~fails s0 =
 
 (* --- repro artifacts ---------------------------------------------- *)
 
-(* Shortest decimal that round-trips, so a replayed scenario is the
-   same float bit for bit. *)
-let float_repr x =
-  let s = Printf.sprintf "%.12g" x in
-  if float_of_string s = x then s else Printf.sprintf "%.17g" x
-
-let scenario_text (s : Scenario.t) =
-  let open Scenario in
-  let b = Buffer.create 512 in
-  let ik k v = Buffer.add_string b (Printf.sprintf "%s = %d\n" k v) in
-  let fk k v = Buffer.add_string b (Printf.sprintf "%s = %s\n" k (float_repr v)) in
-  let sk k v = Buffer.add_string b (Printf.sprintf "%s = %s\n" k v) in
-  ik "seed" s.seed;
-  ik "n" s.n;
-  ik "d" s.d;
-  sk "topology" s.topology;
-  sk "protocol" s.protocol;
-  fk "alpha" s.alpha;
-  ik "fanout" s.fanout;
-  fk "loss" s.loss;
-  fk "call_failure" s.call_failure;
-  fk "burst_loss" s.burst_loss;
-  fk "burst_len" s.burst_len;
-  fk "crash_rate" s.crash_rate;
-  fk "recover_rate" s.recover_rate;
-  sk "crash_adversary" s.crash_adversary;
-  ik "crash_count" s.crash_count;
-  ik "crash_round" s.crash_round;
-  ik "strike_every" s.strike_every;
-  ik "partition_round" s.partition_round;
-  ik "heal_round" s.heal_round;
-  fk "partition_fraction" s.partition_fraction;
-  fk "join_prob" s.join_prob;
-  fk "leave_prob" s.leave_prob;
-  fk "n_error" s.n_error;
-  ik "repair_timeout" s.repair_timeout;
-  ik "repair_backoff" s.repair_backoff;
-  ik "max_epochs" s.max_epochs;
-  ik "reps" s.reps;
-  ik "domains" s.domains;
-  Buffer.contents b
-
 let artifact ?(notes = []) ~digest (s : Scenario.t) =
   let b = Buffer.create 1024 in
   Buffer.add_string b "# rumor-chaos/1 repro artifact\n";
   Buffer.add_string b "# replay with: rumor replay <this file>\n";
   List.iter (fun n -> Buffer.add_string b ("# " ^ n ^ "\n")) notes;
   Buffer.add_string b (Printf.sprintf "expect_digest = %s\n" digest);
-  Buffer.add_string b (scenario_text s);
+  Buffer.add_string b (Scenario.to_text s);
   Buffer.contents b
 
 let is_hex_digest d =

@@ -1,11 +1,10 @@
 module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
 module Engine = Rumor_sim.Engine
 module Fault = Rumor_sim.Fault
+module Topology = Rumor_sim.Topology
 module Params = Rumor_core.Params
 module Algorithm = Rumor_core.Algorithm
 module Baselines = Rumor_core.Baselines
-module Run_ = Rumor_core.Run
 module Repair = Rumor_core.Repair
 module Overlay = Rumor_p2p.Overlay
 module Churn = Rumor_p2p.Churn
@@ -249,6 +248,54 @@ let set_key acc ~key ~value : (t, string) result =
     end
   | other -> err ("unknown key: " ^ other)
 
+(* Shortest decimal that round-trips, so a re-parsed scenario carries
+   the same floats bit for bit. *)
+let float_repr x =
+  let s = Printf.sprintf "%.12g" x in
+  if float_of_string s = x then s else Printf.sprintf "%.17g" x
+
+(* The inverse of [set_key], one line per key in record order.
+   [churn_rate] is written only when set: its "unset" value is
+   negative, which [set_key] rejects. *)
+let to_text t =
+  let b = Buffer.create 512 in
+  let sk k v = Buffer.add_string b (Printf.sprintf "%s = %s\n" k v) in
+  let ik k v = sk k (string_of_int v) in
+  let fk k v = sk k (float_repr v) in
+  ik "seed" t.seed;
+  ik "n" t.n;
+  ik "d" t.d;
+  sk "topology" t.topology;
+  sk "protocol" t.protocol;
+  fk "alpha" t.alpha;
+  ik "fanout" t.fanout;
+  fk "loss" t.loss;
+  fk "call_failure" t.call_failure;
+  fk "burst_loss" t.burst_loss;
+  fk "burst_len" t.burst_len;
+  fk "crash_rate" t.crash_rate;
+  fk "recover_rate" t.recover_rate;
+  sk "crash_adversary" t.crash_adversary;
+  ik "crash_count" t.crash_count;
+  ik "crash_round" t.crash_round;
+  ik "strike_every" t.strike_every;
+  ik "partition_round" t.partition_round;
+  ik "heal_round" t.heal_round;
+  fk "partition_fraction" t.partition_fraction;
+  fk "join_prob" t.join_prob;
+  fk "leave_prob" t.leave_prob;
+  if t.churn_rate >= 0. then fk "churn_rate" t.churn_rate;
+  fk "n_error" t.n_error;
+  ik "repair_timeout" t.repair_timeout;
+  ik "repair_backoff" t.repair_backoff;
+  ik "max_epochs" t.max_epochs;
+  sk "stop" t.stop;
+  sk "source" t.source;
+  ik "reps" t.reps;
+  ik "domains" t.domains;
+  sk "packed" (string_of_bool t.packed);
+  Buffer.contents b
+
 (* Cross-key checks that only make sense once the whole file is read. *)
 let validate acc : (t, string) result =
   if acc.burst_loss > acc.burst_len /. (acc.burst_len +. 1.) then
@@ -391,12 +438,10 @@ let draw_seed rng = Int64.to_int (Rng.bits64 rng) land max_int
 
 let make_topology ~rng ~topology ~n ~d =
   match topology with
-  | "implicit-regular" ->
-      Rumor_sim.Topology.implicit_regular ~seed:(draw_seed rng) ~n ~d
-  | "implicit-hypercube" -> Rumor_sim.Topology.implicit_hypercube ~n
-  | "implicit-chords" ->
-      Rumor_sim.Topology.implicit_chords ~seed:(draw_seed rng) ~n ~d
-  | other -> Rumor_sim.Topology.of_graph (make_graph ~rng ~topology:other ~n ~d)
+  | "implicit-regular" -> Topology.implicit_regular ~seed:(draw_seed rng) ~n ~d
+  | "implicit-hypercube" -> Topology.implicit_hypercube ~n
+  | "implicit-chords" -> Topology.implicit_chords ~seed:(draw_seed rng) ~n ~d
+  | other -> Topology.of_graph (make_graph ~rng ~topology:other ~n ~d)
 
 let make_protocol ?n_estimate ~protocol ~n ~d ~alpha ~fanout () =
   let est = match n_estimate with Some e -> max 4 e | None -> n in
@@ -469,115 +514,102 @@ let repair_config scenario =
          ~max_epochs:scenario.max_epochs ~n:scenario.n ())
   else None
 
-(* One repetition on one pre-forked stream — the unit the matrix
-   runner schedules onto its shared domain pool. The draw order (graph
-   or view sample, then source, then engine) is a compatibility
-   contract: a cell run here must be bit-identical to the same seed
-   run through [run] or the historical bench loops. *)
-let run_rep scenario rng =
-  let fault = fault_plan scenario in
-  let stop = effective_stop scenario in
-  let repair_config = repair_config scenario in
-  if is_implicit scenario.topology then begin
-    (* No graph is ever built: the kernel walks seed-derived
-       neighbour functions, so this path scales to n = 10^7+.
-       Churn is rejected at parse time (implicit views have a
-       fixed id space); every other fault key composes, since
-       faults mutate liveness, never edges. *)
-    let topology =
-      make_topology ~rng ~topology:scenario.topology ~n:scenario.n
-        ~d:scenario.d
-    in
-    let n_real = topology.Rumor_sim.Topology.capacity in
-    let n_estimate =
-      int_of_float (ceil (scenario.n_error *. float_of_int n_real))
-    in
-    let p =
-      make_protocol ~n_estimate ~protocol:scenario.protocol ~n:n_real
-        ~d:scenario.d ~alpha:scenario.alpha ~fanout:scenario.fanout ()
-    in
-    let source =
-      if scenario.source = "first" then 0 else Rng.int rng n_real
-    in
-    match repair_config with
-    | Some config ->
-        Repair.self_heal ~fault ~config ~packed:scenario.packed ~rng ~topology
-          ~protocol:p ~sources:[ source ] ()
-    | None ->
-        Engine.run ~fault ~stop_when_complete:stop ~packed:scenario.packed
-          ~rng ~topology ~protocol:p ~sources:[ source ] ()
-  end
-  else
-    let g =
-      make_graph ~rng ~topology:scenario.topology ~n:scenario.n ~d:scenario.d
-    in
-    let n_real = Graph.n g in
-    let n_estimate =
-      int_of_float (ceil (scenario.n_error *. float_of_int n_real))
-    in
-    let p =
-      make_protocol ~n_estimate ~protocol:scenario.protocol ~n:n_real
-        ~d:scenario.d ~alpha:scenario.alpha ~fanout:scenario.fanout ()
-    in
-    let source =
-      if scenario.source = "first" then 0 else Run_.random_source rng g
-    in
-    let churn_on =
-      scenario.churn_rate >= 0. || scenario.join_prob > 0.
-      || scenario.leave_prob > 0.
-    in
-    if churn_on then begin
-      (* Session churn mutates an overlay copy of the graph; ids
-         handed out for joins are reset to uninformed. Extra
-         capacity leaves room for joins beyond the initial size. *)
-      let o = Overlay.of_graph ~capacity:(2 * n_real) g in
-      let topology = Overlay.to_topology o in
-      let joined = ref [] in
-      let note ev =
-        match ev.Churn.joined with
-        | Some v -> joined := v :: !joined
-        | None -> ()
-      in
-      let on_round_end _ =
-        if scenario.churn_rate >= 0. then
-          (* Rate churn: churn_rate * n symmetric sessions per round,
-             the model of the self-healing frontier (E8). *)
-          let ops =
-            int_of_float (scenario.churn_rate *. float_of_int n_real)
-          in
-          for _ = 1 to ops do
-            note
-              (Churn.session o ~rng ~d:scenario.d ~join_prob:0.5
-                 ~leave_prob:0.5 ())
-          done
-        else
-          note
-            (Churn.session o ~rng ~d:scenario.d ~join_prob:scenario.join_prob
-               ~leave_prob:scenario.leave_prob ())
-      in
-      let reset () =
-        let l = !joined in
-        joined := [];
-        l
-      in
-      match repair_config with
-      | Some config ->
-          Repair.self_heal ~fault ~config ~reset ~on_round_end
-            ~packed:scenario.packed ~rng ~topology ~protocol:p
-            ~sources:[ source ] ()
-      | None ->
-          Engine.run ~fault ~forget_on_recover:true ~reset ~on_round_end
-            ~stop_when_complete:stop ~packed:scenario.packed ~rng ~topology
-            ~protocol:p ~sources:[ source ] ()
-    end
+let churn_on t = t.churn_rate >= 0. || t.join_prob > 0. || t.leave_prob > 0.
+
+(* Session churn mutates an overlay copy of [g]. Extra capacity leaves
+   room for joins beyond the initial size; the ids handed out for joins
+   are collected for the engine's [reset] hook, which restarts them
+   uninformed. *)
+let churn_overlay scenario ~rng ~n_real g =
+  let o = Overlay.of_graph ~capacity:(2 * n_real) g in
+  let joined = ref [] in
+  let session ~join_prob ~leave_prob =
+    let ev = Churn.session o ~rng ~d:scenario.d ~join_prob ~leave_prob () in
+    Option.iter (fun v -> joined := v :: !joined) ev.Churn.joined
+  in
+  let on_round_end _ =
+    if scenario.churn_rate >= 0. then
+      (* Rate churn: churn_rate * n symmetric sessions per round, the
+         model of the self-healing frontier (E8). *)
+      let ops = int_of_float (scenario.churn_rate *. float_of_int n_real) in
+      for _ = 1 to ops do
+        session ~join_prob:0.5 ~leave_prob:0.5
+      done
     else
-      match repair_config with
-      | Some config ->
-          Repair.heal ~fault ~config ~packed:scenario.packed ~rng ~graph:g
-            ~protocol:p ~source ()
-      | None ->
-          Run_.once ~fault ~stop_when_complete:stop ~packed:scenario.packed
-            ~rng ~graph:g ~protocol:p ~source ()
+      session ~join_prob:scenario.join_prob ~leave_prob:scenario.leave_prob
+  in
+  let reset () =
+    let l = !joined in
+    joined := [];
+    l
+  in
+  (o, on_round_end, reset)
+
+(* The single dispatch from a scenario to the kernel. The draw order
+   (graph or view sample, then source, then the broadcast) is a
+   compatibility contract: a cell run here must be bit-identical to the
+   same seed run through [run] or the historical bench loops. *)
+let run_rep ?monitor ?(collect_trace = false) ?graph scenario rng =
+  (* Implicit views build no graph: the kernel walks seed-derived
+     neighbour functions, so that path scales to n = 10^7+. *)
+  let graph, view =
+    match graph with
+    | Some g -> (Some g, Topology.of_graph g)
+    | None when is_implicit scenario.topology ->
+        ( None,
+          make_topology ~rng ~topology:scenario.topology ~n:scenario.n
+            ~d:scenario.d )
+    | None ->
+        let g =
+          make_graph ~rng ~topology:scenario.topology ~n:scenario.n
+            ~d:scenario.d
+        in
+        (Some g, Topology.of_graph g)
+  in
+  let n_real = view.Topology.capacity in
+  let n_estimate =
+    int_of_float (ceil (scenario.n_error *. float_of_int n_real))
+  in
+  let protocol =
+    make_protocol ~n_estimate ~protocol:scenario.protocol ~n:n_real
+      ~d:scenario.d ~alpha:scenario.alpha ~fanout:scenario.fanout ()
+  in
+  let sources =
+    [ (if scenario.source = "first" then 0 else Rng.int rng n_real) ]
+  in
+  (* [validate] rejects churn on implicit views, which have no overlay
+     to rewire. *)
+  let churn =
+    match graph with
+    | Some g when churn_on scenario ->
+        Some (churn_overlay scenario ~rng ~n_real g)
+    | _ -> None
+  in
+  let topology, on_round_end, reset =
+    match churn with
+    | Some (o, on_round_end, reset) ->
+        (Overlay.to_topology o, Some on_round_end, Some reset)
+    | None -> (view, None, None)
+  in
+  let fault = fault_plan scenario in
+  let packed = scenario.packed in
+  let result =
+    match repair_config scenario with
+    | Some config ->
+        Repair.self_heal ~fault ~collect_trace ?reset ?on_round_end ?monitor
+          ~packed ~config ~rng ~topology ~protocol ~sources ()
+    | None ->
+        (* Repair runs with recovery amnesia on; without repair it is
+           on exactly under churn. *)
+        Engine.run ~fault ~collect_trace ~forget_on_recover:(churn <> None)
+          ?reset ?on_round_end ~stop_when_complete:(effective_stop scenario)
+          ?monitor ~packed ~rng ~topology ~protocol ~sources ()
+  in
+  (match churn with
+  | Some (o, _, _) when not (Overlay.invariant o) ->
+      failwith "churn left the overlay in an inconsistent state"
+  | _ -> ());
+  result
 
 type report = {
   scenario : t;

@@ -150,6 +150,13 @@ val set_key : t -> key:string -> value:string -> (t, string) result
     line information; {!parse} adds it, and the matrix layer reuses
     [set_key] to build sweep cells. *)
 
+val to_text : t -> string
+(** Render a scenario as [key = value] lines, one per key in record
+    order, floats as the shortest round-tripping decimal, such that
+    [parse (to_text s) = Ok s] for every valid [s]. [churn_rate] is
+    written only when set (non-negative). This is the one writer of
+    the key list; chaos repro artifacts embed it. *)
+
 val validate : t -> (t, string) result
 (** Cross-key checks run after the whole file is read: burst
     realisability, partition window ordering, churn vs implicit
@@ -215,13 +222,32 @@ val protocol_name : t -> string
     ["bef-parallel-f4"]) — a pure function of the protocol, alpha and
     fanout keys; no RNG is touched. *)
 
-val run_rep : t -> Rumor_rng.Rng.t -> Rumor_sim.Engine.result
-(** One repetition on one pre-forked stream — the unit the matrix
-    runner schedules onto its shared domain pool. The draw order
-    (graph/view sample, then source, then engine) is a compatibility
-    contract: the same stream always yields a bit-identical result
-    whether dispatched here, via {!run}, or by the historical bench
-    loops. *)
+val run_rep :
+  ?monitor:Rumor_sim.Invariant.t ->
+  ?collect_trace:bool ->
+  ?graph:Rumor_graph.Graph.t ->
+  t -> Rumor_rng.Rng.t -> Rumor_sim.Engine.result
+(** One repetition of the scenario on [rng]: the single dispatch from a
+    scenario to the kernel. {!run}, the matrix runner, the chaos
+    harness and the [broadcast] and [heal] subcommands all execute
+    through it.
+
+    The draw order is a compatibility contract: graph or view sample,
+    then the source, then the broadcast. The same stream always yields
+    a bit-identical result whether dispatched here, via {!run}, or by
+    the historical bench loops. Churn keys wrap the graph in a mutable
+    overlay that resets rejoined ids to uninformed; the run fails with
+    [Failure] if the overlay breaks its invariant. Repair epochs run
+    when [max_epochs > 0]. Recovery amnesia is on under churn or
+    repair and off otherwise.
+
+    @param monitor invariant monitor checked at every round boundary
+    (draws no randomness).
+    @param collect_trace record per-round trace rows (default [false]).
+    @param graph run on this graph instead of sampling one; only the
+    graph draw is skipped, the source and the broadcast still draw
+    from [rng]. The scenario's [topology] and [n] keys are then
+    ignored. *)
 
 type report = {
   scenario : t;

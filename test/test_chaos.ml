@@ -328,13 +328,73 @@ let test_scenario_text_roundtrip () =
   let rng = Rng.create 23 in
   for _ = 1 to 20 do
     let s = Chaos.sample rng in
-    match Scenario.parse (Chaos.scenario_text s) with
+    match Scenario.parse (Scenario.to_text s) with
     | Ok s' ->
         if s' <> s then
-          Alcotest.failf "scenario_text round-trip changed:\n%s"
-            (Chaos.scenario_text s)
-    | Error e -> Alcotest.failf "scenario_text does not re-parse: %s" e
+          Alcotest.failf "to_text round-trip changed:\n%s" (Scenario.to_text s)
+    | Error e -> Alcotest.failf "to_text does not re-parse: %s" e
   done
+
+(* Chaos replays artifacts through Scenario.run_rep, which reads stop,
+   source, churn_rate and packed; an artifact that dropped any of them
+   would replay a different run. Mutate exactly those keys on sampled
+   configurations (keeping the churn models exclusive and implicit
+   views churn-free, as validate demands) and require a lossless
+   round-trip. *)
+let prop_to_text_roundtrip =
+  QCheck.Test.make ~count:200
+    ~name:"to_text round-trips stop/source/churn_rate/packed"
+    QCheck.(
+      quad small_nat (int_range 0 2) bool (pair bool (int_range 0 3)))
+    (fun (seed, stop, first, (packed, rate)) ->
+      let s = Chaos.sample (Rng.create seed) in
+      let churn_rate =
+        if Scenario.is_implicit s.Scenario.topology then -1.
+        else [| -1.; 0.; 0.005; 0.25 |].(rate)
+      in
+      let s =
+        {
+          s with
+          Scenario.stop = [| "auto"; "true"; "false" |].(stop);
+          source = (if first then "first" else "random");
+          packed;
+          churn_rate;
+          join_prob = (if churn_rate >= 0. then 0. else s.Scenario.join_prob);
+          leave_prob = (if churn_rate >= 0. then 0. else s.Scenario.leave_prob);
+        }
+      in
+      Scenario.parse (Scenario.to_text s) = Ok s)
+
+(* Digests pinned before the scenario-to-kernel dispatch was merged into
+   Scenario.run_rep, one per branch of the merged body: an implicit
+   view with bursty loss and repair, the implicit hypercube at an n that
+   is not a power of two (repair sized from n, not the rounded-up
+   capacity), and a materialised overlay under join/leave churn with
+   and without repair. *)
+let test_dispatch_digests_pinned () =
+  List.iter
+    (fun (name, text, want) ->
+      let o = Chaos.run_one (scenario_exn text) in
+      Alcotest.(check bool) (name ^ " clean") false (Chaos.failed o);
+      Alcotest.(check string) name want o.Chaos.digest)
+    [
+      ( "implicit-regular + burst + repair",
+        "seed = 1\nn = 2048\ntopology = implicit-regular\nburst_loss = 0.6\n\
+         max_epochs = 4\n",
+        "4c21b8c69a82b874" );
+      ( "implicit-hypercube n = 96 + repair",
+        "seed = 22\nn = 96\ntopology = implicit-hypercube\nfanout = 2\n\
+         loss = 0.5\nmax_epochs = 4\n",
+        "67b46721aaa144be" );
+      ( "regular + crash/recovery + churn + repair",
+        "seed = 23\nn = 1024\nalpha = 2.0\ncrash_rate = 0.01\n\
+         recover_rate = 0.25\njoin_prob = 0.1\nleave_prob = 0.1\n\
+         max_epochs = 4\n",
+        "3ee2d471ff44a5a1" );
+      ( "regular + churn, no repair",
+        "seed = 24\nn = 1024\njoin_prob = 0.1\nleave_prob = 0.1\n",
+        "d11fc03b361b2946" );
+    ]
 
 let test_artifact_roundtrip () =
   let s = Chaos.sample (Rng.create 31) in
@@ -386,6 +446,9 @@ let test_shrink_greedy () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest [ prop_cut_heal_degree_sequence ]
+
+let qcheck_roundtrip =
+  List.map QCheck_alcotest.to_alcotest [ prop_to_text_roundtrip ]
 
 let () =
   Alcotest.run "chaos"
@@ -443,5 +506,8 @@ let () =
           Alcotest.test_case "replay matches artifact" `Quick
             test_replay_matches_artifact;
           Alcotest.test_case "greedy shrink" `Quick test_shrink_greedy;
-        ] );
+          Alcotest.test_case "dispatch digests pinned" `Quick
+            test_dispatch_digests_pinned;
+        ]
+        @ qcheck_roundtrip );
     ]
