@@ -133,9 +133,10 @@ let sweep ?fault ?(stop = false) ~seed ~n ~d protocol_of =
 
 (* --- committed matrix files ---
 
-   The migrated experiments (E1, E7's loss x estimate grid, E8, A12,
-   A13) load their sweep grids from scenarios/matrix_*.txt instead of
-   hardcoded loops. The wrappers patch the committed file for
+   The migrated experiments load their sweep grids from
+   scenarios/matrix_*.txt instead of hardcoded loops. E5, E6, E11 and
+   A1 are their files outright (matrix_experiment); E1, E7's loss x
+   estimate grid, E8, A12 and A13 keep wrappers that patch the file for
    --quick/--reps (Matrix.set_base / Matrix.override_axis keep the
    per-cell seed arithmetic of the full grid) and rebuild the
    historical tables and JSON points from the raw per-cell engine
@@ -177,6 +178,18 @@ let run_matrix spec =
   match Matrix.run ~domains:(domains ()) spec with
   | Ok rr -> rr
   | Error m -> failwith m
+
+(* An experiment that is its matrix file: the per-cell results table,
+   and one Matrix.point_json point per cell. --quick shrinks n to 4096
+   in place, so every cell keeps its seed. *)
+let matrix_experiment file () =
+  let spec = load_matrix file in
+  section spec.Matrix.id spec.Matrix.title;
+  let spec = patch_base spec ~key:"reps" ~value:(string_of_int (reps ())) in
+  let spec = if !quick then patch_base spec ~key:"n" ~value:"4096" else spec in
+  let rr = run_matrix spec in
+  print_endline (Matrix.results_table rr);
+  List.iter (fun o -> record_point (Matrix.point_json o)) rr.Matrix.outcomes
 
 (* The raw engine results of the cell whose coordinates contain every
    (key, value) of [subset] — subset matching keeps the wrappers
@@ -505,113 +518,6 @@ let e4 () =
       Table.print t);
   Printf.printf "complete=%b total tx/node=%.1f\n" (Engine.success res)
     (fin (Engine.transmissions res) /. fin n)
-
-(* ------------------------------------------------------------------ *)
-(* E5: degree sweep across the Algorithm 1 / Algorithm 2 crossover.    *)
-(* ------------------------------------------------------------------ *)
-
-let e5 () =
-  section "E5" "degree sweep: Algorithm 1 vs Algorithm 2 (Theorems 2 vs 3)";
-  let n = if !quick then 4096 else 16384 in
-  let degs = [ 4; 6; 8; 12; 16; 24; 32 ] in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("d", Table.Right);
-          ("variant", Table.Left);
-          ("tx/node", Table.Right);
-          ("rounds", Table.Right);
-          ("success", Table.Right);
-        ]
-  in
-  List.iteri
-    (fun i d ->
-      let params = Params.make ~n_estimate:n ~d () in
-      let variant = Phase.auto_variant params in
-      let st = sweep ~seed:(700 + i) ~n ~d (fun () -> Algorithm.make params) in
-      Table.add_row t
-        [
-          string_of_int d;
-          Phase.variant_to_string variant;
-          Printf.sprintf "%.1f" st.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" st.rounds.Summary.mean;
-          Printf.sprintf "%.0f%%" (100. *. st.success);
-        ])
-    degs;
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
-(* E6: communication failures.                                         *)
-(* ------------------------------------------------------------------ *)
-
-let e6 () =
-  section "E6" "robustness to communication failures (abstract / Section 1)";
-  let n = if !quick then 4096 else 16384 in
-  let d = 8 in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("link loss", Table.Right);
-          ("alpha", Table.Right);
-          ("success", Table.Right);
-          ("coverage", Table.Right);
-          ("tx/node", Table.Right);
-        ]
-  in
-  List.iteri
-    (fun i loss ->
-      List.iter
-        (fun alpha ->
-          let fault = Fault.make ~link_loss:loss () in
-          let results =
-            Experiment.replicate_parallel ~domains:(domains ()) ~seed:(800 + i) ~reps:(reps ()) (fun rng ->
-                run_once ~fault ~rng ~n ~d
-                  (Algorithm.make (Params.make ~alpha ~n_estimate:n ~d ())))
-          in
-          let cov_per_seed =
-            List.map
-              (fun r -> fin r.Engine.informed /. fin r.Engine.population)
-              results
-          in
-          let tx_per_seed =
-            List.map (fun r -> fin (Engine.transmissions r) /. fin n) results
-          in
-          let coverage = Summary.of_list cov_per_seed in
-          let success =
-            fin (List.length (List.filter Engine.success results))
-            /. fin (List.length results)
-          in
-          let tx = Summary.of_list tx_per_seed in
-          record_point
-            (Json.Obj
-               [
-                 ("link_loss", Json.Float loss);
-                 ("alpha", Json.Float alpha);
-                 ("n", Json.Int n);
-                 ("d", Json.Int d);
-                 ("success_rate", Json.Float success);
-                 ("coverage", Encode.summary coverage);
-                 ("tx_per_node", Encode.summary tx);
-                 ( "per_seed",
-                   Json.Obj
-                     [
-                       ("coverage", Encode.float_list cov_per_seed);
-                       ("tx_per_node", Encode.float_list tx_per_seed);
-                     ] );
-               ]);
-          Table.add_row t
-            [
-              Printf.sprintf "%.2f" loss;
-              Printf.sprintf "%.1f" alpha;
-              Printf.sprintf "%.0f%%" (100. *. success);
-              Printf.sprintf "%.4f" coverage.Summary.mean;
-              Printf.sprintf "%.1f" tx.Summary.mean;
-            ])
-        [ 1.0; 2.0 ])
-    [ 0.; 0.05; 0.1; 0.2 ];
-  Table.print t
 
 (* ------------------------------------------------------------------ *)
 (* E7: inaccurate estimates of n.                                      *)
@@ -1066,40 +972,6 @@ let e10 () =
     s_reg s_prod (1. /. 70.)
 
 (* ------------------------------------------------------------------ *)
-(* E11: how many choices are needed? (Conclusions)                     *)
-(* ------------------------------------------------------------------ *)
-
-let e11 () =
-  section "E11" "fanout sweep: are 3 choices enough? (Conclusions)";
-  let n = if !quick then 4096 else 16384 in
-  let d = 12 in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("fanout", Table.Right);
-          ("success", Table.Right);
-          ("tx/node", Table.Right);
-          ("rounds", Table.Right);
-        ]
-  in
-  List.iteri
-    (fun i fanout ->
-      let st =
-        sweep ~seed:(1400 + i) ~n ~d (fun () ->
-            Algorithm.make (Params.make ~fanout ~n_estimate:n ~d ()))
-      in
-      Table.add_row t
-        [
-          string_of_int fanout;
-          Printf.sprintf "%.0f%%" (100. *. st.success);
-          Printf.sprintf "%.1f" st.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" st.rounds.Summary.mean;
-        ])
-    [ 1; 2; 3; 4; 8 ];
-  Table.print t
-
-(* ------------------------------------------------------------------ *)
 (* E12: related-work sanity checks.                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1161,37 +1033,6 @@ let e12 () =
 (* ------------------------------------------------------------------ *)
 (* Ablations and extensions.                                           *)
 (* ------------------------------------------------------------------ *)
-
-(* A1: the phase-length constant alpha — reliability vs message cost. *)
-let a1 () =
-  section "A1" "ablation: phase-length constant alpha";
-  let n = if !quick then 4096 else 16384 in
-  let d = 8 in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("alpha", Table.Right);
-          ("success", Table.Right);
-          ("tx/node", Table.Right);
-          ("rounds", Table.Right);
-        ]
-  in
-  List.iteri
-    (fun i alpha ->
-      let st =
-        sweep ~seed:(1800 + i) ~n ~d (fun () ->
-            Algorithm.make (Params.make ~alpha ~n_estimate:n ~d ()))
-      in
-      Table.add_row t
-        [
-          Printf.sprintf "%.2f" alpha;
-          Printf.sprintf "%.0f%%" (100. *. st.success);
-          Printf.sprintf "%.1f" st.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" st.rounds.Summary.mean;
-        ])
-    [ 0.25; 0.5; 0.75; 1.0; 1.5; 2.0 ];
-  Table.print t
 
 (* A2: clock skew — the paper assumes synchronised clocks. *)
 let a2 () =
@@ -2054,15 +1895,15 @@ let all_experiments =
     ("E1", e1_e2);
     ("E3", e3);
     ("E4", e4);
-    ("E5", e5);
-    ("E6", e6);
+    ("E5", matrix_experiment "matrix_e5.txt");
+    ("E6", matrix_experiment "matrix_e6.txt");
     ("E7", e7);
     ("E8", e8);
     ("E9", e9);
     ("E10", e10);
-    ("E11", e11);
+    ("E11", matrix_experiment "matrix_e11.txt");
     ("E12", e12);
-    ("A1", a1);
+    ("A1", matrix_experiment "matrix_a1.txt");
     ("A2", a2);
     ("A3", a3);
     ("A4", a4);

@@ -7,7 +7,6 @@
      async       one broadcast under Poisson clocks (no lockstep rounds)
      estimate    min-of-exponentials gossip estimate of the network size
      run         execute a scenario file
-     robustness  fault-intensity x size-estimate sweep tables
      heal        self-healing broadcast under a hostile fault+churn plan
      chaos       seeded soak over random fault configs, invariants on
      replay      re-run a chaos repro artifact and diff its digest
@@ -18,10 +17,12 @@
 
    broadcast and heal are flag front ends to a scenario: they run
    through Scenario.run_rep, the same dispatch as run, matrix and
-   chaos. Size sweeps are matrix files (scenarios/matrix_sweep.txt),
-   churned broadcasts are scenario files (scenarios/churn.txt).
+   chaos. Every grid is a matrix file: size sweeps
+   (scenarios/matrix_sweep.txt), the loss x size-estimate frontier
+   (matrix_e7.txt), crash schedules (matrix_crash.txt); churned
+   broadcasts are scenario files (scenarios/churn.txt).
 
-   broadcast, multi, async, heal and robustness take --json to emit one
+   broadcast, multi, async and heal take --json to emit one
    structured JSON document on stdout instead of the human tables;
    broadcast, multi and async also take --trace-out FILE for an NDJSON
    per-round dump. *)
@@ -35,10 +36,7 @@ module Regular = Rumor_gen.Regular
 module Engine = Rumor_sim.Engine
 module Fault = Rumor_sim.Fault
 module Trace = Rumor_sim.Trace
-module Params = Rumor_core.Params
-module Algorithm = Rumor_core.Algorithm
 module Run = Rumor_core.Run
-module Overlay = Rumor_p2p.Overlay
 module Summary = Rumor_stats.Summary
 module Table = Rumor_stats.Table
 module Experiment = Rumor_stats.Experiment
@@ -441,9 +439,6 @@ let async_cmd =
 
 (* --- replication arguments --- *)
 
-let reps_arg =
-  Arg.(value & opt int 5 & info [ "reps" ] ~docv:"R" ~doc:"Repetitions per point.")
-
 let domains_arg =
   Arg.(
     value & opt int 0
@@ -490,13 +485,13 @@ let estimate_cmd =
   in
   Cmd.v info Term.(const estimate $ seed_arg $ n_arg $ d_arg $ k_arg)
 
-(* --- robustness --- *)
+(* --- heal (self-healing broadcast) --- *)
 
 let robust_n_arg =
   Arg.(
     value & opt int 4096
     & info [ "n" ] ~docv:"N"
-        ~doc:"Number of nodes (the E7 bench covers the full 16384 setting).")
+        ~doc:"Number of nodes.")
 
 let robust_alpha_arg =
   Arg.(
@@ -509,276 +504,6 @@ let burst_len_arg =
     value & opt float 4.0
     & info [ "burst-len" ] ~docv:"L"
         ~doc:"Mean length (rounds) of a Gilbert-Elliott loss burst.")
-
-let use_estimator_arg =
-  Arg.(
-    value & flag
-    & info [ "use-estimator" ]
-        ~doc:
-          "Source the size estimate from min-of-exponentials gossip at the \
-           broadcast source instead of sweeping fixed n-error factors.")
-
-let robustness seed n d alpha reps domains burst_len use_estimator json =
-  let domains = resolve_domains domains in
-  if burst_len < 1. then begin
-    prerr_endline "rumor: --burst-len must be >= 1";
-    exit 2
-  end;
-  let losses = [ 0.; 0.05; 0.1; 0.2 ] in
-  let errors =
-    if use_estimator then [ 1.0 ] else [ 0.125; 0.25; 1.0; 4.0; 8.0 ]
-  in
-  let summar f results = Summary.of_list (List.map f results) in
-  let pct_success results =
-    100
-    * List.length (List.filter (fun (r, _) -> Engine.success r) results)
-    / List.length results
-  in
-  let sweep_points = ref [] in
-  let crash_points = ref [] in
-  if not json then
-    Printf.printf
-      "robustness sweep: n=%d d=%d alpha=%.1f reps=%d burst_len=%.1f%s\n" n d
-      alpha reps burst_len
-      (if use_estimator then " (gossip size estimate)" else "");
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("burst loss", Table.Right);
-          ("est/n", Table.Right);
-          ("success", Table.Right);
-          ("coverage", Table.Right);
-          ("tx/node", Table.Right);
-          ("rounds", Table.Right);
-        ]
-  in
-  List.iteri
-    (fun i loss ->
-      List.iteri
-        (fun j factor ->
-          let results =
-            Experiment.replicate_parallel ~domains
-              ~seed:(seed + (10 * i) + j)
-              ~reps
-              (fun rng ->
-                let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
-                let source = Run.random_source rng g in
-                let est =
-                  if use_estimator then begin
-                    let overlay = Overlay.of_graph ~capacity:n g in
-                    let e = Rumor_p2p.Estimator.create ~rng ~overlay ~k:64 in
-                    ignore (Rumor_p2p.Estimator.run ~rng e);
-                    Rumor_p2p.Estimator.estimate e ~node:source
-                  end
-                  else factor *. float_of_int n
-                in
-                let fault =
-                  if loss > 0. then
-                    Fault.plan ~burst:(Fault.burst ~loss ~burst_len) ()
-                  else Fault.none
-                in
-                let params =
-                  Params.make ~alpha
-                    ~n_estimate:(max 4 (int_of_float (ceil est)))
-                    ~d ()
-                in
-                let res =
-                  Run.once ~fault ~rng ~graph:g
-                    ~protocol:(Algorithm.make params) ~source ()
-                in
-                (res, est /. float_of_int n))
-          in
-          let coverage =
-            summar
-              (fun (r, _) ->
-                float_of_int r.Engine.informed /. float_of_int r.Engine.population)
-              results
-          in
-          let tx =
-            summar
-              (fun (r, _) ->
-                float_of_int (Engine.transmissions r) /. float_of_int n)
-              results
-          in
-          let rounds =
-            summar (fun (r, _) -> float_of_int r.Engine.rounds) results
-          in
-          let est_factor = summar (fun (_, f) -> f) results in
-          sweep_points :=
-            Json.Obj
-              [
-                ("burst_loss", Json.Float loss);
-                ("estimate_factor", Json.Float est_factor.Summary.mean);
-                ( "success_rate",
-                  Json.Float (float_of_int (pct_success results) /. 100.) );
-                ("coverage", Encode.summary coverage);
-                ("tx_per_node", Encode.summary tx);
-                ("rounds", Encode.summary rounds);
-                ( "per_seed",
-                  Json.Obj
-                    [
-                      ( "coverage",
-                        Encode.float_list
-                          (List.map
-                             (fun (r, _) ->
-                               float_of_int r.Engine.informed
-                               /. float_of_int r.Engine.population)
-                             results) );
-                      ( "tx_per_node",
-                        Encode.float_list
-                          (List.map
-                             (fun (r, _) ->
-                               float_of_int (Engine.transmissions r)
-                               /. float_of_int n)
-                             results) );
-                    ] );
-              ]
-            :: !sweep_points;
-          Table.add_row t
-            [
-              Printf.sprintf "%.2f" loss;
-              Printf.sprintf "%.2f" est_factor.Summary.mean;
-              Printf.sprintf "%d%%" (pct_success results);
-              Printf.sprintf "%.4f" coverage.Summary.mean;
-              Printf.sprintf "%.1f" tx.Summary.mean;
-              Printf.sprintf "%.1f" rounds.Summary.mean;
-            ])
-        errors)
-    losses;
-  if not json then begin
-    Table.print t;
-    (* Node-crash schedules, random and adversarial. *)
-    print_endline "\nnode crashes (10% bursty loss kept on):"
-  end;
-  let t2 =
-    Table.create
-      ~columns:
-        [
-          ("schedule", Table.Left);
-          ("success", Table.Right);
-          ("coverage", Table.Right);
-          ("final pop", Table.Right);
-          ("tx/node", Table.Right);
-        ]
-  in
-  let schedules =
-    [
-      ( "crash-stop 0.2%/round",
-        Fault.plan ~crash_rate:0.002 () );
-      ( "crash-recovery 1%/round, recover 20%",
-        Fault.plan ~crash_rate:0.01 ~recover_rate:0.2 () );
-      ( Printf.sprintf "strike: random %d @ round 3" (n / 8),
-        Fault.plan
-          ~strike:(Fault.strike ~adversary:Fault.Random_nodes ~at_round:3
-                     ~count:(n / 8) ())
-          () );
-      ( Printf.sprintf "strike: highest-degree %d @ round 3" (n / 8),
-        Fault.plan
-          ~strike:(Fault.strike ~adversary:Fault.Highest_degree ~at_round:3
-                     ~count:(n / 8) ())
-          () );
-      ( Printf.sprintf "strike: frontier %d @ round 3" (n / 16),
-        Fault.plan
-          ~strike:(Fault.strike ~adversary:Fault.Frontier ~at_round:3
-                     ~count:(n / 16) ())
-          () );
-    ]
-  in
-  let burst = Fault.burst ~loss:0.1 ~burst_len in
-  List.iteri
-    (fun i (label, plan) ->
-      let fault = { plan with Fault.burst = Some burst } in
-      let results =
-        Experiment.replicate_parallel ~domains ~seed:(seed + 100 + i) ~reps
-          (fun rng ->
-            let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
-            let params = Params.make ~alpha ~n_estimate:n ~d () in
-            Run.once ~fault ~rng ~graph:g ~protocol:(Algorithm.make params)
-              ~source:(Run.random_source rng g) ())
-      in
-      let ok =
-        100
-        * List.length (List.filter Engine.success results)
-        / List.length results
-      in
-      let coverage =
-        Summary.of_list
-          (List.map
-             (fun r ->
-               if r.Engine.population = 0 then 0.
-               else
-                 float_of_int r.Engine.informed
-                 /. float_of_int r.Engine.population)
-             results)
-      in
-      let pop =
-        Summary.of_list
-          (List.map (fun r -> float_of_int r.Engine.population) results)
-      in
-      let tx =
-        Summary.of_list
-          (List.map
-             (fun r -> float_of_int (Engine.transmissions r) /. float_of_int n)
-             results)
-      in
-      crash_points :=
-        Json.Obj
-          [
-            ("schedule", Json.String label);
-            ("success_rate", Json.Float (float_of_int ok /. 100.));
-            ("coverage", Encode.summary coverage);
-            ("final_population", Encode.summary pop);
-            ("tx_per_node", Encode.summary tx);
-          ]
-        :: !crash_points;
-      Table.add_row t2
-        [
-          label;
-          Printf.sprintf "%d%%" ok;
-          Printf.sprintf "%.4f" coverage.Summary.mean;
-          Printf.sprintf "%.0f" pop.Summary.mean;
-          Printf.sprintf "%.1f" tx.Summary.mean;
-        ])
-    schedules;
-  if json then
-    print_endline
-      (Json.to_string ~minify:false
-         (Json.Obj
-            [
-              ("command", Json.String "robustness");
-              ("seed", Json.Int seed);
-              ("n", Json.Int n);
-              ("d", Json.Int d);
-              ("alpha", Json.Float alpha);
-              ("reps", Json.Int reps);
-              ("domains", Json.Int domains);
-              ("burst_len", Json.Float burst_len);
-              ("use_estimator", Json.Bool use_estimator);
-              ("sweep", Json.List (List.rev !sweep_points));
-              ("crash_schedules", Json.List (List.rev !crash_points));
-            ]))
-  else begin
-    Table.print t2;
-    print_endline
-      "(coverage is over surviving nodes; a frontier strike that lands before\n\
-      \ phase 2 can kill every copy of the rumor - no protocol survives that)"
-  end;
-  0
-
-let robustness_cmd =
-  let info =
-    Cmd.info "robustness"
-      ~doc:
-        "Sweep fault intensity (bursty loss) x size-estimate error, then \
-         node-crash schedules, and print success-rate tables."
-  in
-  Cmd.v info
-    Term.(
-      const robustness $ seed_arg $ robust_n_arg $ d_arg $ robust_alpha_arg
-      $ reps_arg $ domains_arg $ burst_len_arg $ use_estimator_arg $ json_arg)
-
-(* --- heal (self-healing broadcast) --- *)
 
 let prob_arg ~names ~default ~docv ~doc =
   Arg.(value & opt float default & info names ~docv ~doc)
@@ -1871,7 +1596,7 @@ let matrix_run_service (cell : Matrix.cell) =
   ]
 
 let matrix files json_path dry_run domains =
-  let domains = if domains = 0 then None else Some domains in
+  let domains = resolve_domains domains in
   let rec parse_all acc = function
     | [] -> Ok (List.rev acc)
     | f :: rest -> (
@@ -1904,7 +1629,7 @@ let matrix files json_path dry_run domains =
               (fun (f, spec) ->
                 match
                   Obs_metrics.timed (fun () ->
-                      Matrix.run ?domains ~run_service:matrix_run_service
+                      Matrix.run ~domains ~run_service:matrix_run_service
                         spec)
                 with
                 | exception Failure m ->
@@ -1925,6 +1650,8 @@ let matrix files json_path dry_run domains =
                       (List.length rr.Matrix.outcomes)
                       failed
                       (if rr.Matrix.truncated then " (truncated)" else "");
+                    if spec.Matrix.mode = Matrix.Kernel then
+                      print_endline (Matrix.results_table rr);
                     List.iter
                       (fun (o : Matrix.cell_outcome) ->
                         List.iter
@@ -2027,7 +1754,6 @@ let () =
             async_cmd;
             estimate_cmd;
             run_cmd;
-            robustness_cmd;
             heal_cmd;
             chaos_cmd;
             replay_cmd;

@@ -996,32 +996,69 @@ let data_json result =
       ("points", Json.List (List.map point_json result.outcomes));
     ]
 
-(* --- dry run --- *)
+(* --- cell tables --- *)
+
+(* A table led by the cell index and coordinates, then [extra]
+   columns; the returned function adds one cell's row. *)
+let cell_table spec extra =
+  let axis_cols =
+    List.concat_map (fun a -> a.axis_key :: List.map fst a.zips) spec.axes
+  in
+  let t =
+    Table.create
+      ~columns:
+        ((("cell", Table.Right) :: List.map (fun k -> (k, Table.Left)) axis_cols)
+        @ extra)
+  in
+  let add_row c values =
+    Table.add_row t
+      ((string_of_int c.cell_index
+       :: List.map (fun k -> List.assoc k c.coords) axis_cols)
+      @ values)
+  in
+  (t, add_row)
+
+let results_table result =
+  let t, add_row =
+    cell_table result.spec
+      [
+        ("protocol", Table.Left); ("success", Table.Right);
+        ("coverage", Table.Right); ("tx/node", Table.Right);
+        ("rounds", Table.Right); ("final pop", Table.Right);
+      ]
+  in
+  List.iter
+    (fun o ->
+      let metric k = List.assoc k o.metrics in
+      add_row o.cell
+        [
+          Scenario.protocol_name o.cell.scenario;
+          Printf.sprintf "%.0f%%" (100. *. metric "success_rate");
+          Printf.sprintf "%.4f" (metric "coverage");
+          Printf.sprintf "%.1f" (metric "tx_per_node");
+          Printf.sprintf "%.1f" (metric "rounds");
+          Printf.sprintf "%.0f"
+            (mean
+               (List.map
+                  (fun (r : Engine.result) -> float_of_int r.Engine.population)
+                  o.results));
+        ])
+    result.outcomes;
+  Table.render t
 
 let dry_run_table spec =
   match cells spec with
   | Error e -> Error e
   | Ok cs ->
-      let axis_cols =
-        List.concat_map
-          (fun a -> a.axis_key :: List.map fst a.zips)
-          spec.axes
+      let t, add_row =
+        cell_table spec [ ("seed", Table.Right); ("reps", Table.Right) ]
       in
-      let columns =
-        [ ("cell", Table.Right) ]
-        @ List.map (fun k -> (k, Table.Left)) axis_cols
-        @ [ ("seed", Table.Right); ("reps", Table.Right) ]
-      in
-      let t = Table.create ~columns in
       Array.iter
         (fun c ->
-          Table.add_row t
-            ([ string_of_int c.cell_index ]
-            @ List.map (fun k -> List.assoc k c.coords) axis_cols
-            @ [
-                string_of_int c.cell_seed;
-                string_of_int c.scenario.Scenario.reps;
-              ]))
+          add_row c
+            [
+              string_of_int c.cell_seed; string_of_int c.scenario.Scenario.reps;
+            ])
         cs;
       let gates =
         match spec.gates with

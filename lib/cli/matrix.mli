@@ -176,6 +176,12 @@ val data_json : run_result -> Rumor_obs.Json.t
 (** The experiment [data] payload: [{mode, cells, gates_failed,
     truncated, points}]. *)
 
+val results_table : run_result -> string
+(** One row per kernel-mode cell: cell index, axis and zip coordinates,
+    {!Scenario.protocol_name}, success %, coverage, tx/node, rounds and
+    the mean final population. Only RNG-deterministic columns, so the
+    rendering is identical across runs and domain counts. *)
+
 val dry_run_table : spec -> (string, string) result
 (** The expanded cell table (coordinates, seeds, reps) plus the gate
     list, without running anything — the [--dry-run] output and CI's

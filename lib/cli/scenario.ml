@@ -634,7 +634,7 @@ let report_of_results scenario results =
     tx_per_node =
       of_metric (fun r ->
           float_of_int (Engine.transmissions r)
-          /. float_of_int r.Engine.population);
+          /. float_of_int (max 1 r.Engine.population));
     rounds = of_metric (fun r -> float_of_int r.Engine.rounds);
     epochs = of_metric (fun r -> float_of_int (Engine.epochs_used r));
     repair_tx_per_node =

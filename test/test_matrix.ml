@@ -429,6 +429,60 @@ let test_point_json_and_dry_run () =
       check_fragments "dry-run table" table
         [ "cell"; "seed"; "coverage >= 0"; "2 cells" ]
 
+let test_results_table () =
+  let s = spec_exn "seed = 4\nn = 256\nreps = 2\nsweep d = 4, 8\nsweep loss = 0, 0.1\n" in
+  let table domains =
+    match Matrix.run ~domains s with
+    | Ok r -> Matrix.results_table r
+    | Error e -> Alcotest.failf "run: %s" e
+  in
+  let t1 = table 1 in
+  (* header and rule, then one row per cell *)
+  Alcotest.(check int)
+    "rows" (2 + Matrix.cell_count s)
+    (List.length (String.split_on_char '\n' t1));
+  check_fragments "results table" t1
+    [ "protocol"; "success"; "coverage"; "tx/node"; "rounds"; "final pop" ];
+  Alcotest.(check string) "identical across pools" t1 (table 3)
+
+let test_all_crashed_tx_per_node () =
+  (* Every node crashes: tx/node is a finite 0 on both the scenario and
+     the matrix path, not 0 / 0. *)
+  let text = "n = 1024\ncrash_rate = 1.0\nreps = 2\n" in
+  (match Scenario.parse text with
+  | Error e -> Alcotest.failf "scenario: %s" e
+  | Ok s ->
+      let r = Scenario.run { s with Scenario.domains = 1 } in
+      Alcotest.(check (Alcotest.float 0.))
+        "rumor run" 0. r.Scenario.tx_per_node.Rumor_stats.Summary.mean);
+  match Matrix.run ~domains:1 (spec_exn text) with
+  | Error e -> Alcotest.failf "run: %s" e
+  | Ok r ->
+      Alcotest.(check (Alcotest.float 0.))
+        "rumor matrix" 0.
+        (List.assoc "tx_per_node" (List.hd r.Matrix.outcomes).Matrix.metrics)
+
+(* The committed grids replay the historical bench and CLI seeds; a
+   reordered axis or a dropped seed+= annotation would silently move
+   every cell onto new streams. *)
+let test_committed_grid_seeds () =
+  List.iter
+    (fun (file, seeds) ->
+      match Matrix.parse_file (Filename.concat "../scenarios" file) with
+      | Error e -> Alcotest.failf "%s: %s" file e
+      | Ok spec ->
+          Alcotest.(check (list int))
+            file seeds
+            (Array.to_list
+               (Array.map (fun c -> c.Matrix.cell_seed) (cells_exn spec))))
+    [
+      ("matrix_e5.txt", List.init 7 (fun i -> 700 + i));
+      ("matrix_e6.txt", List.init 8 (fun i -> 800 + (i / 2)));
+      ("matrix_e11.txt", List.init 5 (fun i -> 1400 + i));
+      ("matrix_a1.txt", List.init 6 (fun i -> 1800 + i));
+      ("matrix_crash.txt", List.init 5 (fun i -> 101 + i));
+    ]
+
 (* --- bench document validation and diffing ------------------------ *)
 
 let doc ?(schema = "rumor-bench/1") ?(truncated = false) experiments =
@@ -623,6 +677,11 @@ let () =
           Alcotest.test_case "service mode" `Quick test_service_mode;
           Alcotest.test_case "json + dry run" `Quick
             test_point_json_and_dry_run;
+          Alcotest.test_case "results table" `Quick test_results_table;
+          Alcotest.test_case "all crashed tx/node" `Quick
+            test_all_crashed_tx_per_node;
+          Alcotest.test_case "committed grid seeds" `Quick
+            test_committed_grid_seeds;
         ] );
       ( "benchdoc",
         [
