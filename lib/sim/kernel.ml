@@ -320,6 +320,35 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     if Cells.get tb.stamp v <> !cur_round then decide_at tb v;
     Bitset.get tb.dec_pull v
   in
+  (* Idle channels. A channel u->w needs its callee only if u pushes or
+     an informed w may answer a pull. If every id is alive and stays
+     up, no partition can open and opening a channel draws nothing, a
+     channel that carries no rumor is pure bookkeeping: it is counted
+     without resolving [w] (a cycle-walked Feistel evaluation on the
+     implicit views). The round's pull decisions are then taken before
+     the initiator loop, which is unobservable only because packed ops
+     are rng-pure; the boxed path never skips, so it stays the oracle
+     for this one. *)
+  let skip_idle =
+    packed_on
+    && (not (Fault.has_node_faults splan))
+    && splan.Fault.partition = None
+    && splan.Fault.call_failure = 0.
+    && census_incremental && !live = cap
+  in
+  let rec pulls_from tb v =
+    v >= 0
+    && (pull_of tb v || pulls_from tb (Bitset.next_set tb.informed (v + 1)))
+  in
+  let rec any_pulls j =
+    j < nt
+    && (pulls_from tbs.(j) (Bitset.next_set tbs.(j).informed 0)
+       || any_pulls (j + 1))
+  in
+  let rec pushes u j =
+    j < nt
+    && ((Bitset.get tbs.(j).informed u && push_of tbs.(j) u) || pushes u (j + 1))
+  in
   (* Quiescence is a pure conjunction over informed live nodes, so the
      scan may exit at the first talkative node; remembering that node
      as a per-table witness makes the steady-state check O(1) — it
@@ -434,6 +463,7 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
       if (not tb.injected) && tb.created = r - 1 then inject tb
     done;
     let push_now = ref 0 and pull_now = ref 0 and channels_now = ref 0 in
+    let idle = skip_idle && not (any_pulls 0) in
     for u = 0 to cap - 1 do
       if
         topology.alive u && active u
@@ -444,37 +474,41 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
         let d = topology.degree u in
         if d > 0 then begin
           let k = Selector.select selector ~rng ~node:u ~degree:d ~out:scratch in
-          for i = 0 to k - 1 do
-            let w = topology.neighbor u scratch.(i) in
-            (* [connected] is checked before the channel draw: a call
-               blocked by a partition consumes no randomness, exactly
-               like a call to a dead node. *)
-            if
-              topology.alive w && active w && connected u w
-              && Fault.channel_ok splan rng
-            then begin
-              incr channels_now;
-              for j = 0 to nt - 1 do
-                let tb = tbs.(j) in
-                if Bitset.get tb.informed u && push_of tb u && push_ok u
-                then begin
-                  incr push_now;
-                  tb.push_tx <- tb.push_tx + 1;
-                  if Bitset.get tb.informed w || Bitset.get tb.pending w then
-                    record_dup tb u
-                  else mark tb w
-                end;
-                if Bitset.get tb.informed w && pull_of tb w && pull_ok w
-                then begin
-                  incr pull_now;
-                  tb.pull_tx <- tb.pull_tx + 1;
-                  if Bitset.get tb.informed u || Bitset.get tb.pending u then
-                    record_dup tb w
-                  else mark tb u
-                end
-              done
-            end
-          done
+          (* Nothing pulls this round and [u] pushes nothing: every slot
+             would open a channel, draw nothing and carry nothing. *)
+          if idle && not (pushes u 0) then channels_now := !channels_now + k
+          else
+            for i = 0 to k - 1 do
+              let w = topology.neighbor u scratch.(i) in
+              (* [connected] is checked before the channel draw: a call
+                 blocked by a partition consumes no randomness, exactly
+                 like a call to a dead node. *)
+              if
+                topology.alive w && active w && connected u w
+                && Fault.channel_ok splan rng
+              then begin
+                incr channels_now;
+                for j = 0 to nt - 1 do
+                  let tb = tbs.(j) in
+                  if Bitset.get tb.informed u && push_of tb u && push_ok u
+                  then begin
+                    incr push_now;
+                    tb.push_tx <- tb.push_tx + 1;
+                    if Bitset.get tb.informed w || Bitset.get tb.pending w then
+                      record_dup tb u
+                    else mark tb w
+                  end;
+                  if Bitset.get tb.informed w && pull_of tb w && pull_ok w
+                  then begin
+                    incr pull_now;
+                    tb.pull_tx <- tb.pull_tx + 1;
+                    if Bitset.get tb.informed u || Bitset.get tb.pending u then
+                      record_dup tb w
+                    else mark tb u
+                  end
+                done
+              end
+            done
         end
       end
     done;

@@ -63,7 +63,22 @@
     call to a dead node. Hooks, census maintenance, tracing and the
     invariant monitor draw nothing; a plan mode that is off draws
     nothing; a {!Stateless} plan samples exactly like a burst-free
-    {!Full} runtime. Asynchronous runs draw: inter-activation
+    {!Full} runtime.
+
+    {e Idle channels.} On the packed path, when every node id is alive
+    and no run event can change that (no [on_round_end], no crash rate
+    or strike), the plan has no partition and no call failure, a
+    channel whose caller pushes nothing in a round in which no informed
+    node of any table answers pulls is counted without resolving its
+    callee: [topology.neighbor] is not called for it. Such a channel
+    would have drawn nothing and carried nothing, so the draw order
+    above, the channel count and every result are unchanged; only the
+    number of [neighbor] calls drops (by about 70% for [bef] on an
+    implicit view). The round's decisions are then taken before the
+    initiator loop, which packed ops allow because they are rng-pure.
+    The boxed path ([~packed:false]) resolves every callee.
+
+    Asynchronous runs draw: inter-activation
     exponential, activated node id, then selection and fault sampling
     as above.
 

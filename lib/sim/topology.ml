@@ -166,6 +166,8 @@ let implicit_hypercube ~n =
       end;
       incr b
     done;
+    (* Only an [i] outside [0, dim) finds nothing. *)
+    if !result < 0 then invalid_arg "Topology.implicit_hypercube: neighbor index";
     !result
   in
   {

@@ -37,7 +37,11 @@
 type t = {
   capacity : int;  (** exclusive upper bound on node ids *)
   degree : int -> int;  (** current degree of a node *)
-  neighbor : int -> int -> int;  (** [neighbor v i], [0 <= i < degree v] *)
+  neighbor : int -> int -> int;
+      (** [neighbor v i], [0 <= i < degree v]. The kernel may call it
+          fewer times than it opens channels (it skips callees it does
+          not need, see [Kernel.run]), so a view must not rely on calls
+          for side effects. *)
   alive : int -> bool;  (** whether the id denotes a present node *)
   live_count : (unit -> int) option;
       (** O(1) live-node count when the backing structure already
@@ -59,10 +63,13 @@ val implicit_regular : seed:int -> n:int -> d:int -> t
     on [n] nodes: the union of [d] seed-keyed perfect matchings, each a
     Feistel permutation of [0, n) pairing position [p] with
     [p lxor 1]. Every node has degree exactly [d]; [neighbor v i] is
-    [v]'s partner in matching [i], costing one Feistel encryption plus
-    one decryption (no allocation, no materialised state beyond the [d]
-    keys). Connected with high probability for [d >= 3], as for
-    configuration-model regular graphs.
+    [v]'s partner in matching [i]: a cycle-walked Feistel encryption
+    and a cycle-walked decryption, each costing an expected
+    [2^bits / n] Feistel evaluations for the smallest even [bits] with
+    [2^bits >= n] (1.75 at n = 37450), with no allocation and no
+    materialised state beyond the [d] keys. Connected with high
+    probability for [d >= 3], as for configuration-model regular
+    graphs.
     @raise Invalid_argument if [n < 2], [n] is odd, or [d < 1]. *)
 
 val implicit_hypercube : n:int -> t
@@ -71,7 +78,9 @@ val implicit_hypercube : n:int -> t
     Neighbours are listed in ascending id order — the same order
     [Rumor_gen.Classic.hypercube]'s CSR produces — so a broadcast over
     this view consumes randomness identically to one over the
-    materialised cube and yields bit-identical results.
+    materialised cube and yields bit-identical results. Like the other
+    views, [neighbor v i] raises [Invalid_argument] for [i] outside
+    [0, k).
     @raise Invalid_argument if [n < 2] or [n > 2^25]. *)
 
 val implicit_chords : seed:int -> n:int -> d:int -> t

@@ -17,6 +17,10 @@
    - A single-message [Multi.run] under communication-only faults is
      the same simulation as [Engine.run], table for table.
 
+   The fault-free regime, where the packed kernel counts idle channels
+   without resolving their callees, gets its own generator and a test
+   that counts [neighbor] calls to show the skip fires only there.
+
    Plus churn-hook smoke tests for the hook surface Multi/Async gained
    from the kernel. *)
 
@@ -468,6 +472,147 @@ let multi_census_differential =
              = Trace.rows (Option.get b.Multi.trace)))
 
 (* ------------------------------------------------------------------ *)
+(* The fault-free regime.                                             *)
+(* ------------------------------------------------------------------ *)
+
+(* [config_of_seed] always draws a positive call-failure rate, so the
+   suites above never run the regime of the paper's experiments: no
+   call failure, no node faults, no partition. There the packed kernel
+   counts idle channels without resolving their callees, so that path
+   needs its own generator. Loss (link, asymmetric, bursty), skew and
+   oracle stopping stay optional: none of them turns the skip off. *)
+let fault_free_of_seed seed =
+  let c = Rng.create (0xFA17 + seed) in
+  let n = 2 * (6 + Rng.int c 20) in
+  let d = 3 + Rng.int c 4 in
+  let loss scale = if Rng.int c 2 = 0 then 0. else scale *. Rng.float c in
+  let link_loss = loss 0.3 in
+  let push_loss = loss 0.15 in
+  let pull_loss = loss 0.15 in
+  let burst =
+    if Rng.int c 3 = 0 then Some (Fault.burst ~loss:0.2 ~burst_len:3.)
+    else None
+  in
+  {
+    seed;
+    n;
+    d;
+    pchoice = Rng.int c 5;
+    fault = Fault.plan ~link_loss ~push_loss ~pull_loss ?burst ();
+    skewed = Rng.int c 3 = 0;
+    stop = Rng.int c 4 = 0;
+  }
+
+(* Every protocol here carries packed ops; push-only adds the regime
+   where almost every channel is idle. *)
+let fault_free_protocol cfg pc =
+  if cfg.pchoice = 4 then pc.check (Baselines.push ~fanout:1 ~horizon:25 ())
+  else packed_protocol cfg pc
+
+let fault_free_differential =
+  QCheck.Test.make ~count:80
+    ~name:"fault-free: Engine.run = reference = ~packed:false, Multi packed = boxed"
+    QCheck.small_int
+    (fun seed ->
+      let cfg = fault_free_of_seed seed in
+      let skew = if cfg.skewed then Some (fun v -> v mod 3) else None in
+      let sources = [ Rng.int (Rng.create (0x50 + seed)) cfg.n ] in
+      let c = Rng.create (0x5AC + seed) in
+      let messages =
+        List.init 2 (fun j ->
+            { Multi.source = Rng.int c cfg.n; created = j * Rng.int c 4 })
+      in
+      let on_topology topology =
+        fault_free_protocol cfg
+          {
+            check =
+              (fun protocol ->
+                let run packed =
+                  Engine.run ~packed ?skew ~fault:cfg.fault
+                    ~stop_when_complete:cfg.stop
+                    ~rng:(Rng.create (0xF00D + seed))
+                    ~topology ~protocol ~sources ()
+                in
+                let reference =
+                  Ref_engine.run ?skew ~fault:cfg.fault
+                    ~stop_when_complete:cfg.stop
+                    ~rng:(Rng.create (0xF00D + seed))
+                    ~topology ~protocol ~sources ()
+                in
+                let multi packed =
+                  Multi.run ~packed ~fault:cfg.fault ~collect_trace:true
+                    ~rng:(Rng.create (0xF00D + seed))
+                    ~topology ~protocol ~messages ()
+                in
+                let packed = run true in
+                let m = multi true and m' = multi false in
+                same_engine_ref packed reference
+                && same_engine_engine packed (run false)
+                && m.Multi.rounds = m'.Multi.rounds
+                && m.Multi.channels = m'.Multi.channels
+                && m.Multi.population = m'.Multi.population
+                && m.Multi.messages = m'.Multi.messages
+                && Trace.rows (Option.get m.Multi.trace)
+                   = Trace.rows (Option.get m'.Multi.trace));
+          }
+      in
+      on_topology (Topology.of_graph (graph_of cfg))
+      && on_topology
+           (Topology.implicit_regular ~seed:(0xD1CE + seed) ~n:cfg.n ~d:cfg.d))
+
+(* The skip must actually fire where it is meant to, and only there: a
+   wrong enabling condition would pass every differential above, which
+   compare results, not work. [neighbor] calls are counted through a
+   wrapped view. *)
+let counted topology =
+  let calls = ref 0 in
+  ( {
+      topology with
+      Topology.neighbor =
+        (fun v i ->
+          incr calls;
+          topology.Topology.neighbor v i);
+    },
+    calls )
+
+let test_idle_channel_skip () =
+  let n = 4096 and d = 8 in
+  let view = Topology.implicit_regular ~seed:42 ~n ~d in
+  let bef = Algorithm.make (Params.make ~alpha:1.0 ~fanout:4 ~n_estimate:n ~d ()) in
+  let run ?(fault = Fault.none) ?packed protocol =
+    let topology, calls = counted view in
+    let r =
+      Engine.run ?packed ~fault ~rng:(Rng.create 9) ~topology ~protocol
+        ~sources:[ 17 ] ()
+    in
+    (r, !calls)
+  in
+  let r, calls = run bef in
+  let boxed, boxed_calls = run ~packed:false bef in
+  Alcotest.(check bool) "bef covers" true (r.Engine.informed = n);
+  if calls >= r.Engine.channels / 2 then
+    Alcotest.failf "fault-free bef: %d neighbor calls for %d channels" calls
+      r.Engine.channels;
+  Alcotest.(check bool) "skipping run = boxed run" true
+    (same_engine_engine r boxed);
+  (* The boxed path is the oracle: it resolves every callee. *)
+  Alcotest.(check int) "boxed bef resolves every channel" boxed.Engine.channels
+    boxed_calls;
+  let r, calls = run (Baselines.push_pull ~fanout:1 ~horizon:40 ()) in
+  Alcotest.(check int) "push-pull resolves every channel" r.Engine.channels
+    calls;
+  List.iter
+    (fun (what, fault) ->
+      let r, calls = run ~fault bef in
+      if calls < r.Engine.channels then
+        Alcotest.failf "%s: skip fired (%d neighbor calls, %d channels)" what
+          calls r.Engine.channels)
+    [
+      ("crash_rate 0.01", Fault.plan ~crash_rate:0.01 ());
+      ("call_failure 0.01", Fault.plan ~call_failure:0.01 ());
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* Churn-hook smoke tests.                                            *)
 (* ------------------------------------------------------------------ *)
 
@@ -574,7 +719,13 @@ let () =
             packed_codec_roundtrip;
             multi_singleton_differential;
             multi_census_differential;
+            fault_free_differential;
           ] );
+      ( "idle channels",
+        [
+          Alcotest.test_case "callee resolved only when needed" `Quick
+            test_idle_channel_skip;
+        ] );
       ( "churn hooks",
         [
           Alcotest.test_case "multi hooks fire and stay consistent" `Quick

@@ -153,7 +153,16 @@ let test_implicit_validation () =
       (fun () -> Topology.implicit_chords ~seed:1 ~n:2 ~d:2);
       (fun () -> Topology.implicit_chords ~seed:1 ~n:9 ~d:4);
       (fun () -> Topology.implicit_hypercube ~n:1);
-    ]
+    ];
+  (* Out-of-range neighbour indices raise on every view, the hypercube
+     included (it once answered -1). *)
+  let cube = Topology.implicit_hypercube ~n:16 in
+  List.iter
+    (fun (v, i) ->
+      match cube.Topology.neighbor v i with
+      | w -> Alcotest.failf "hypercube neighbor %d %d = %d, not raised" v i w
+      | exception Invalid_argument _ -> ())
+    [ (0, 4); (15, 4); (5, 7); (5, -1) ]
 
 (* ------------------------------------------------------------------ *)
 (* Scenario integration: caps and rejections.                          *)
