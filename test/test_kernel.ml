@@ -721,7 +721,7 @@ let () =
             multi_census_differential;
             fault_free_differential;
           ] );
-      ( "idle channels",
+      ( "idle skip",
         [
           Alcotest.test_case "callee resolved only when needed" `Quick
             test_idle_channel_skip;
