@@ -156,7 +156,7 @@ let to_topology t =
   {
     Rumor_sim.Topology.capacity = t.cap;
     degree = (fun v -> t.adj.(v).len);
-    neighbor = (fun v i -> t.adj.(v).data.(i));
+    neighbor = (fun v i -> neighbor t v i);
     alive = (fun v -> t.alive.(v));
     live_count = Some (fun () -> t.live);
   }

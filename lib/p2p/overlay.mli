@@ -27,8 +27,7 @@ val degree : t -> int -> int
 
 val neighbor : t -> int -> int -> int
 (** [neighbor t v i] is [v]'s [i]-th adjacency entry; [i] is checked
-    against the adjacency length. (The {!to_topology} view skips this
-    check — the engine only probes indices below [degree].)
+    against the adjacency length, also through the {!to_topology} view.
     @raise Invalid_argument if [i] is outside [\[0, degree t v)]. *)
 
 val neighbors : t -> int -> int list

@@ -3,7 +3,14 @@
     All randomness in the project flows through a value of type {!t},
     created from an integer seed, so that every graph, protocol run and
     experiment is exactly reproducible. The implementation is
-    {!Xoshiro}256** seeded through SplitMix64. *)
+    {!Xoshiro}256** seeded through SplitMix64; a stream is its 32-byte
+    state of four unboxed [int64] words.
+
+    {!int}, {!int_in}, {!bool}, {!bernoulli}, {!distinct_into},
+    {!shuffle_prefix} and {!pick} allocate nothing per draw.
+    {!bits64} returns a boxed [int64] and {!float} a boxed float (two
+    words at the call boundary): a hot loop that only compares a
+    uniform float against [p] calls {!bernoulli}. *)
 
 type t
 (** A mutable stream of pseudo-random values. *)
@@ -69,7 +76,11 @@ val distinct : t -> bound:int -> k:int -> int array
 val distinct_into : t -> bound:int -> k:int -> int array -> int
 (** [distinct_into t ~bound ~k out] writes [k] pairwise-distinct uniform
     integers from [\[0, bound)] into [out.(0..k-1)] and returns [k];
-    allocation-free fast path for the simulator inner loop.
+    allocation-free fast path for the simulator inner loop. For
+    [2k <= bound] it makes exactly the draws of [k] {!int} calls with
+    duplicates rejected (in one register-resident loop when
+    [bound <= 62]); otherwise those of {!shuffle_prefix} on the
+    identity array.
     @raise Invalid_argument if [k < 0], [k > bound] or
     [Array.length out < k]. *)
 

@@ -1,94 +1,79 @@
-(* Xoshiro256** on 32-bit halves held in native ints.
+(* Xoshiro256** on unboxed int64 words.
 
-   OCaml's [int64] is boxed outside of flambda builds: every temporary in
-   the reference implementation costs a 3-word minor allocation, and the
-   generator sits under every channel draw of the simulator — profiling
-   put it at ~31 minor words per bounded draw, the single largest
-   allocator in the whole engine. Keeping each 64-bit state word as two
-   untagged 32-bit halves makes [step] allocation-free while producing
-   bit-identical streams (the golden tests pin exact outputs).
+   The four state words live in a 32-byte [Bytes.t] and are read and
+   written with the raw 64-bit load/store primitives. ocamlopt keeps an
+   [int64] unboxed as long as it stays inside one function, so each
+   accessor below inlines the whole step (loads, scramble, update,
+   stores) and converts to a tagged [int] before returning: drawing
+   allocates nothing. Only [next] returns a boxed [int64]. *)
 
-   Invariant: every [s*h]/[s*l]/[out*] field is in [0, 2^32). *)
+type t = Bytes.t
 
-type t = {
-  mutable s0h : int;
-  mutable s0l : int;
-  mutable s1h : int;
-  mutable s1l : int;
-  mutable s2h : int;
-  mutable s2l : int;
-  mutable s3h : int;
-  mutable s3l : int;
-  (* Halves of the last scrambled output, written by [step]. Scratch
-     fields rather than a returned pair so that drawing never allocates. *)
-  mutable outh : int;
-  mutable outl : int;
-}
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
-let mask32 = 0xFFFFFFFF
-let hi64 x = Int64.to_int (Int64.shift_right_logical x 32)
-let lo64 x = Int64.to_int (Int64.logand x 0xFFFFFFFFL)
+let[@inline] rotl x k =
+  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let to64 h l =
-  Int64.logor (Int64.shift_left (Int64.of_int h) 32) (Int64.of_int l)
+(* One generator step: store the advanced state and return the
+   scrambled output of the old one. Always inlined, so the output stays
+   unboxed in the caller. *)
+let[@inline] step t =
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let out = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set t 0 (Int64.logxor s0 s3);
+  set t 8 (Int64.logxor s1 s2);
+  set t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set t 24 (rotl s3 45);
+  out
 
-let step t =
-  (* out = rotl64 (s1 * 5) 7 * 9, carried across the 32-bit seam. *)
-  let p = t.s1l * 5 in
-  let ml = p land mask32 in
-  let mh = ((t.s1h * 5) + (p lsr 32)) land mask32 in
-  let rh = ((mh lsl 7) lor (ml lsr 25)) land mask32 in
-  let rl = ((ml lsl 7) lor (mh lsr 25)) land mask32 in
-  let q = rl * 9 in
-  t.outl <- q land mask32;
-  t.outh <- ((rh * 9) + (q lsr 32)) land mask32;
-  (* tt = s1 lsl 17 *)
-  let th = ((t.s1h lsl 17) lor (t.s1l lsr 15)) land mask32 in
-  let tl = (t.s1l lsl 17) land mask32 in
-  t.s2h <- t.s2h lxor t.s0h;
-  t.s2l <- t.s2l lxor t.s0l;
-  t.s3h <- t.s3h lxor t.s1h;
-  t.s3l <- t.s3l lxor t.s1l;
-  t.s1h <- t.s1h lxor t.s2h;
-  t.s1l <- t.s1l lxor t.s2l;
-  t.s0h <- t.s0h lxor t.s3h;
-  t.s0l <- t.s0l lxor t.s3l;
-  t.s2h <- t.s2h lxor th;
-  t.s2l <- t.s2l lxor tl;
-  (* s3 = rotl64 s3 45: a half swap (rotl 32) followed by rotl 13. *)
-  let h = t.s3h and l = t.s3l in
-  t.s3h <- ((l lsl 13) lor (h lsr 19)) land mask32;
-  t.s3l <- ((h lsl 13) lor (l lsr 19)) land mask32
+let bits62 t = Int64.to_int (Int64.shift_right_logical (step t) 2)
+let bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
+let bit t = Int64.to_int (step t) land 1
+let next t = step t
 
-let bits62 t =
-  step t;
-  (t.outh lsl 30) lor (t.outl lsr 2)
-
-let bits53 t =
-  step t;
-  (t.outh lsl 21) lor (t.outl lsr 11)
-
-let bit t =
-  step t;
-  t.outl land 1
-
-let next t =
-  step t;
-  to64 t.outh t.outl
+(* The rejection branch of [Rng.distinct_into] for bounds up to 62, as
+   one loop: the state sits in local refs (registers) and is written
+   back once, and the drawn indices are remembered in an int bitmask.
+   The draws, their rejection test and the duplicate test are exactly
+   those of k [Rng.int] calls followed by a linear duplicate scan. *)
+let distinct_small t ~bound ~mask ~k out =
+  let s0 = ref (get t 0) and s1 = ref (get t 8) in
+  let s2 = ref (get t 16) and s3 = ref (get t 24) in
+  let seen = ref 0 and i = ref 0 in
+  while !i < k do
+    let a0 = !s0 and a1 = !s1 in
+    let x =
+      Int64.to_int
+        (Int64.shift_right_logical (Int64.mul (rotl (Int64.mul a1 5L) 7) 9L) 2)
+      land mask
+    in
+    let a2 = Int64.logxor !s2 a0 in
+    let a3 = Int64.logxor !s3 a1 in
+    s0 := Int64.logxor a0 a3;
+    s1 := Int64.logxor a1 a2;
+    s2 := Int64.logxor a2 (Int64.shift_left a1 17);
+    s3 := rotl a3 45;
+    if x < bound && !seen land (1 lsl x) = 0 then begin
+      seen := !seen lor (1 lsl x);
+      out.(!i) <- x;
+      incr i
+    end
+  done;
+  set t 0 !s0;
+  set t 8 !s1;
+  set t 16 !s2;
+  set t 24 !s3
 
 let make s0 s1 s2 s3 =
-  {
-    s0h = hi64 s0;
-    s0l = lo64 s0;
-    s1h = hi64 s1;
-    s1l = lo64 s1;
-    s2h = hi64 s2;
-    s2l = lo64 s2;
-    s3h = hi64 s3;
-    s3l = lo64 s3;
-    outh = 0;
-    outl = 0;
-  }
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 s3;
+  t
 
 let create seed =
   let sm = Splitmix64.create seed in
@@ -107,19 +92,7 @@ let of_state s0 s1 s2 s3 =
     invalid_arg "Xoshiro.of_state: all-zero state";
   make s0 s1 s2 s3
 
-let copy t =
-  {
-    s0h = t.s0h;
-    s0l = t.s0l;
-    s1h = t.s1h;
-    s1l = t.s1l;
-    s2h = t.s2h;
-    s2l = t.s2l;
-    s3h = t.s3h;
-    s3l = t.s3l;
-    outh = t.outh;
-    outl = t.outl;
-  }
+let copy = Bytes.copy
 
 (* Jump polynomial for 2^128 steps, from the reference implementation. *)
 let jump_tbl = [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL;
@@ -130,19 +103,15 @@ let jump t =
   for i = 0 to 3 do
     for b = 0 to 63 do
       if Int64.logand jump_tbl.(i) (Int64.shift_left 1L b) <> 0L then begin
-        s0 := Int64.logxor !s0 (to64 t.s0h t.s0l);
-        s1 := Int64.logxor !s1 (to64 t.s1h t.s1l);
-        s2 := Int64.logxor !s2 (to64 t.s2h t.s2l);
-        s3 := Int64.logxor !s3 (to64 t.s3h t.s3l)
+        s0 := Int64.logxor !s0 (get t 0);
+        s1 := Int64.logxor !s1 (get t 8);
+        s2 := Int64.logxor !s2 (get t 16);
+        s3 := Int64.logxor !s3 (get t 24)
       end;
-      ignore (next t)
+      ignore (step t)
     done
   done;
-  t.s0h <- hi64 !s0;
-  t.s0l <- lo64 !s0;
-  t.s1h <- hi64 !s1;
-  t.s1l <- lo64 !s1;
-  t.s2h <- hi64 !s2;
-  t.s2l <- lo64 !s2;
-  t.s3h <- hi64 !s3;
-  t.s3l <- lo64 !s3
+  set t 0 !s0;
+  set t 8 !s1;
+  set t 16 !s2;
+  set t 24 !s3

@@ -4,13 +4,14 @@
     [2^256 - 1], passes BigCrush, and is very fast. All simulation code
     goes through {!Rng}, which wraps this module.
 
-    The state is stored as untagged 32-bit halves in native ints, so
-    advancing the generator allocates nothing (a boxed [int64]
-    implementation costs three minor words per temporary on non-flambda
-    builds, which dominated the simulator's allocation profile). The
-    {!bits62}, {!bits53} and {!bit} accessors expose the exact bit
-    ranges the bounded-draw code needs without ever materialising an
-    [int64]; streams are bit-identical to the reference generator. *)
+    The state is four [int64] words in a 32-byte [Bytes.t], read and
+    written with the raw 64-bit load/store primitives. ocamlopt keeps
+    an [int64] unboxed while it stays inside one function, so every
+    accessor inlines the whole generator step and returns a tagged
+    [int]: {!bits62}, {!bits53}, {!bit} and {!distinct_small} never
+    allocate. Only {!next} returns a boxed [int64] (three minor words
+    per call on non-flambda builds). Streams are bit-identical to the
+    reference generator. *)
 
 type t
 (** Mutable generator state. *)
@@ -47,6 +48,17 @@ val bit : t -> int
 (** [bit t] advances the state once and returns the lowest bit (0 or 1)
     of the same output [next] would have produced, without
     allocating. *)
+
+val distinct_small :
+  t -> bound:int -> mask:int -> k:int -> int array -> unit
+(** [distinct_small t ~bound ~mask ~k out] writes [k] pairwise-distinct
+    values from [\[0, bound)] into [out.(0..k-1)], without allocating.
+    Each candidate is [bits62 t land mask], rejected when it is at
+    least [bound] or already drawn, so the draws, the values and the
+    final state equal those of [k] {!Rng.int} draws with duplicate
+    rejection. Preconditions (unchecked): [1 <= bound <= 62], [mask] is
+    the smallest [2^j - 1 >= max 1 (bound - 1)], [0 <= k <= bound] and
+    [Array.length out >= k]. *)
 
 val jump : t -> unit
 (** [jump t] advances [t] by [2^128] steps. Starting from a common seed,

@@ -244,6 +244,12 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     end;
     Cells.set tb.dups v (c + 1)
   in
+  (* [s] delivered [tb]'s rumor to [v]: a first receipt, or a duplicate
+     that [s] counts as feedback. *)
+  let transmit tb s v =
+    if Bitset.get tb.informed v || Bitset.get tb.pending v then record_dup tb s
+    else mark tb v
+  in
   let informed_any v =
     let rec go j = j < nt && (Bitset.get tbs.(j).informed v || go (j + 1)) in
     go 0
@@ -320,16 +326,17 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     if Cells.get tb.stamp v <> !cur_round then decide_at tb v;
     Bitset.get tb.dec_pull v
   in
-  (* Idle channels. A channel u->w needs its callee only if u pushes or
-     an informed w may answer a pull. If every id is alive and stays
-     up, no partition can open and opening a channel draws nothing, a
-     channel that carries no rumor is pure bookkeeping: it is counted
-     without resolving [w] (a cycle-walked Feistel evaluation on the
+  (* The fault-free delivery loop (contract in kernel.mli). When every
+     id is alive and stays up, no partition can open and opening a
+     channel draws nothing, the round needs no liveness, fault or
+     partition check per node or per channel, and a channel that
+     carries no rumor is pure bookkeeping: it is counted without
+     resolving its callee (a cycle-walked Feistel evaluation on the
      implicit views). The round's pull decisions are then taken before
      the initiator loop, which is unobservable only because packed ops
-     are rng-pure; the boxed path never skips, so it stays the oracle
-     for this one. *)
-  let skip_idle =
+     are rng-pure; the boxed path always takes the general loop, so it
+     stays the oracle. *)
+  let fault_free =
     packed_on
     && (not (Fault.has_node_faults splan))
     && splan.Fault.partition = None
@@ -345,9 +352,12 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     && (pulls_from tbs.(j) (Bitset.next_set tbs.(j).informed 0)
        || any_pulls (j + 1))
   in
-  let rec pushes u j =
-    j < nt
-    && ((Bitset.get tbs.(j).informed u && push_of tbs.(j) u) || pushes u (j + 1))
+  (* Per table: does the current initiator push this round. *)
+  let pushes = Array.make nt false in
+  let gate_open u =
+    match gate with
+    | None -> true
+    | Some g -> g ~informed:(informed_all u) ~node:u ~round:!cur_round
   in
   (* Quiescence is a pure conjunction over informed live nodes, so the
      scan may exit at the first talkative node; remembering that node
@@ -463,21 +473,55 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
       if (not tb.injected) && tb.created = r - 1 then inject tb
     done;
     let push_now = ref 0 and pull_now = ref 0 and channels_now = ref 0 in
-    let idle = skip_idle && not (any_pulls 0) in
-    for u = 0 to cap - 1 do
-      if
-        topology.alive u && active u
-        && (match gate with
-           | None -> true
-           | Some g -> g ~informed:(informed_all u) ~node:u ~round:r)
-      then begin
-        let d = topology.degree u in
-        if d > 0 then begin
-          let k = Selector.select selector ~rng ~node:u ~degree:d ~out:scratch in
-          (* Nothing pulls this round and [u] pushes nothing: every slot
-             would open a channel, draw nothing and carry nothing. *)
-          if idle && not (pushes u 0) then channels_now := !channels_now + k
-          else
+    if fault_free then begin
+      let idle = not (any_pulls 0) in
+      for u = 0 to cap - 1 do
+        if gate_open u then begin
+          let d = topology.degree u in
+          if d > 0 then begin
+            let k =
+              Selector.select selector ~rng ~node:u ~degree:d ~out:scratch
+            in
+            let any_push = ref false in
+            for j = 0 to nt - 1 do
+              let tb = tbs.(j) in
+              let p = Bitset.get tb.informed u && push_of tb u in
+              pushes.(j) <- p;
+              if p then any_push := true
+            done;
+            channels_now := !channels_now + k;
+            (* When nothing pulls this round and [u] pushes nothing,
+               every slot opens a channel that carries nothing. *)
+            if !any_push || not idle then
+              for i = 0 to k - 1 do
+                let w = topology.neighbor u scratch.(i) in
+                for j = 0 to nt - 1 do
+                  let tb = tbs.(j) in
+                  if pushes.(j) && push_ok u then begin
+                    incr push_now;
+                    tb.push_tx <- tb.push_tx + 1;
+                    transmit tb u w
+                  end;
+                  if Bitset.get tb.informed w && pull_of tb w && pull_ok w
+                  then begin
+                    incr pull_now;
+                    tb.pull_tx <- tb.pull_tx + 1;
+                    transmit tb w u
+                  end
+                done
+              done
+          end
+        end
+      done
+    end
+    else
+      for u = 0 to cap - 1 do
+        if topology.alive u && active u && gate_open u then begin
+          let d = topology.degree u in
+          if d > 0 then begin
+            let k =
+              Selector.select selector ~rng ~node:u ~degree:d ~out:scratch
+            in
             for i = 0 to k - 1 do
               let w = topology.neighbor u scratch.(i) in
               (* [connected] is checked before the channel draw: a call
@@ -494,24 +538,20 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
                   then begin
                     incr push_now;
                     tb.push_tx <- tb.push_tx + 1;
-                    if Bitset.get tb.informed w || Bitset.get tb.pending w then
-                      record_dup tb u
-                    else mark tb w
+                    transmit tb u w
                   end;
                   if Bitset.get tb.informed w && pull_of tb w && pull_ok w
                   then begin
                     incr pull_now;
                     tb.pull_tx <- tb.pull_tx + 1;
-                    if Bitset.get tb.informed u || Bitset.get tb.pending u then
-                      record_dup tb w
-                    else mark tb u
+                    transmit tb w u
                   end
                 done
               end
             done
+          end
         end
-      end
-    done;
+      done;
     (* Newly-informed sets were deferred so a node never forwards a
        rumor in the round it first receives it; apply them now. The
        ordered path replays delivery order from the id queue; the

@@ -65,18 +65,28 @@
     nothing; a {!Stateless} plan samples exactly like a burst-free
     {!Full} runtime.
 
-    {e Idle channels.} On the packed path, when every node id is alive
+    {e The fault-free loop.} On the packed path, a run takes its own
+    delivery loop when nothing in it can fail: every node id is alive
     and no run event can change that (no [on_round_end], no crash rate
-    or strike), the plan has no partition and no call failure, a
-    channel whose caller pushes nothing in a round in which no informed
-    node of any table answers pulls is counted without resolving its
+    or strike), the plan has no partition and no call failure. Loss
+    (link, asymmetric, bursty), skew, [reset], oracle stopping and any
+    number of tables keep it, and so does a [gate]: repair epochs take
+    this loop. Per initiator it calls [gate] (when given, before
+    [topology.degree]), [topology.degree] and the selector, and takes
+    each table's push decision once. It calls no [topology.alive], no
+    {!Fault.active}, no partition check and no {!Fault.channel_ok} per
+    node or per channel: each would return [true] without drawing. A channel
+    whose caller pushes nothing, in a round in which no informed node
+    of any table answers pulls, is counted without resolving its
     callee: [topology.neighbor] is not called for it. Such a channel
     would have drawn nothing and carried nothing, so the draw order
-    above, the channel count and every result are unchanged; only the
-    number of [neighbor] calls drops (by about 70% for [bef] on an
-    implicit view). The round's decisions are then taken before the
-    initiator loop, which packed ops allow because they are rng-pure.
-    The boxed path ([~packed:false]) resolves every callee.
+    above, the channel count and every result are those of the general
+    loop; only the calls into the topology drop (for [bef] on an
+    implicit view, [neighbor] by about 70% and [alive] to the
+    quiescence scan alone). The round's decisions are then taken
+    before the initiator loop, which packed ops allow because they are
+    rng-pure. Boxed runs ([~packed:false]) and runs that can fail take
+    the general loop, which stays the oracle.
 
     Asynchronous runs draw: inter-activation
     exponential, activated node id, then selection and fault sampling

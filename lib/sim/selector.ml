@@ -51,7 +51,8 @@ let select t ~rng ~node ~degree ~out =
     | Cyclic { k; pos } ->
         let k = min k degree in
         if pos.(node) < 0 then pos.(node) <- Rng.int rng degree;
-        let p = ref pos.(node) in
+        (* Churn may have shrunk the adjacency list since the last call. *)
+        let p = ref (pos.(node) mod degree) in
         for i = 0 to k - 1 do
           out.(i) <- !p;
           p := (!p + 1) mod degree

@@ -17,9 +17,11 @@
    - A single-message [Multi.run] under communication-only faults is
      the same simulation as [Engine.run], table for table.
 
-   The fault-free regime, where the packed kernel counts idle channels
-   without resolving their callees, gets its own generator and a test
-   that counts [neighbor] calls to show the skip fires only there.
+   The fault-free regime, where the packed kernel runs its own delivery
+   loop (no liveness or fault checks, idle channels counted without
+   resolving their callees), gets its own generator, gate included,
+   and tests that count [neighbor] and [alive] calls to show the loop
+   runs there and only there.
 
    Plus churn-hook smoke tests for the hook surface Multi/Async gained
    from the kernel. *)
@@ -56,7 +58,7 @@ module Ref_engine = struct
     down : int list;
   }
 
-  let run ?(fault = Fault.none) ?(stop_when_complete = false) ?skew ~rng
+  let run ?(fault = Fault.none) ?(stop_when_complete = false) ?skew ?gate ~rng
       ~(topology : Topology.t) ~(protocol : 'st Protocol.t) ~sources () =
     let cap = topology.Topology.capacity in
     let alive v = topology.Topology.alive v in
@@ -103,7 +105,12 @@ module Ref_engine = struct
         ~alive
         ~informed:(fun v -> informed.(v));
       for u = 0 to cap - 1 do
-        if alive u && Fault.active rt u then begin
+        if
+          alive u && Fault.active rt u
+          && (match gate with
+             | None -> true
+             | Some g -> g ~informed:informed.(u) ~node:u ~round:r)
+        then begin
           let d = topology.Topology.degree u in
           if d > 0 then begin
             let k =
@@ -212,6 +219,7 @@ type config = {
   fault : Fault.t;
   skewed : bool;
   stop : bool;
+  gated : bool;
 }
 
 let config_of_seed seed =
@@ -253,6 +261,7 @@ let config_of_seed seed =
     fault;
     skewed = Rng.int c 3 = 0;
     stop = Rng.int c 4 = 0;
+    gated = false;
   }
 
 let graph_of cfg =
@@ -479,8 +488,9 @@ let multi_census_differential =
    suites above never run the regime of the paper's experiments: no
    call failure, no node faults, no partition. There the packed kernel
    counts idle channels without resolving their callees, so that path
-   needs its own generator. Loss (link, asymmetric, bursty), skew and
-   oracle stopping stay optional: none of them turns the skip off. *)
+   needs its own generator. Loss (link, asymmetric, bursty), skew,
+   oracle stopping and a gate stay optional: none of them turns the
+   fault-free loop off, and repair epochs run it behind their gate. *)
 let fault_free_of_seed seed =
   let c = Rng.create (0xFA17 + seed) in
   let n = 2 * (6 + Rng.int c 20) in
@@ -501,7 +511,17 @@ let fault_free_of_seed seed =
     fault = Fault.plan ~link_loss ~push_loss ~pull_loss ?burst ();
     skewed = Rng.int c 3 = 0;
     stop = Rng.int c 4 = 0;
+    gated = Rng.int c 3 = 0;
   }
+
+(* A repair epoch's kind of gate: it closes some nodes in some rounds,
+   informed or not, as a fixed function of its arguments. *)
+let gate_of cfg =
+  if cfg.gated then
+    Some
+      (fun ~informed ~node ~round ->
+        ((node * 7) + (round * 3) + if informed then 1 else 0) mod 4 <> 0)
+  else None
 
 (* Every protocol here carries packed ops; push-only adds the regime
    where almost every channel is idle. *)
@@ -516,6 +536,7 @@ let fault_free_differential =
     (fun seed ->
       let cfg = fault_free_of_seed seed in
       let skew = if cfg.skewed then Some (fun v -> v mod 3) else None in
+      let gate = gate_of cfg in
       let sources = [ Rng.int (Rng.create (0x50 + seed)) cfg.n ] in
       let c = Rng.create (0x5AC + seed) in
       let messages =
@@ -528,13 +549,13 @@ let fault_free_differential =
             check =
               (fun protocol ->
                 let run packed =
-                  Engine.run ~packed ?skew ~fault:cfg.fault
+                  Engine.run ~packed ?skew ?gate ~fault:cfg.fault
                     ~stop_when_complete:cfg.stop
                     ~rng:(Rng.create (0xF00D + seed))
                     ~topology ~protocol ~sources ()
                 in
                 let reference =
-                  Ref_engine.run ?skew ~fault:cfg.fault
+                  Ref_engine.run ?skew ?gate ~fault:cfg.fault
                     ~stop_when_complete:cfg.stop
                     ~rng:(Rng.create (0xF00D + seed))
                     ~topology ~protocol ~sources ()
@@ -611,6 +632,44 @@ let test_idle_channel_skip () =
       ("crash_rate 0.01", Fault.plan ~crash_rate:0.01 ());
       ("call_failure 0.01", Fault.plan ~call_failure:0.01 ());
     ]
+
+(* The fault-free loop takes no per-node liveness check: [alive] is
+   left to source injection and the quiescence scan, a few calls per
+   node over the whole run. Any node fault brings back the general
+   loop and its checks, one per initiator per round at least. *)
+let test_fault_free_no_alive () =
+  let n = 4096 and d = 8 in
+  let view = Topology.implicit_regular ~seed:42 ~n ~d in
+  let bef = Algorithm.make (Params.make ~alpha:1.0 ~fanout:4 ~n_estimate:n ~d ()) in
+  let run ?gate fault =
+    let calls = ref 0 in
+    let topology =
+      {
+        view with
+        Topology.alive =
+          (fun v ->
+            incr calls;
+            view.Topology.alive v);
+      }
+    in
+    let r =
+      Engine.run ?gate ~fault ~rng:(Rng.create 9) ~topology ~protocol:bef
+        ~sources:[ 17 ] ()
+    in
+    (r, !calls)
+  in
+  let r, calls = run Fault.none in
+  if calls > 2 * n then
+    Alcotest.failf "fault-free: %d alive calls over %d rounds of %d nodes"
+      calls r.Engine.rounds n;
+  let gate ~informed:_ ~node ~round:_ = node land 1 = 0 in
+  let _, gated = run ~gate Fault.none in
+  if gated > 2 * n then
+    Alcotest.failf "fault-free gated: %d alive calls" gated;
+  let r, calls = run (Fault.plan ~crash_rate:0.01 ()) in
+  if calls < n * r.Engine.rounds then
+    Alcotest.failf "crash_rate 0.01: %d alive calls over %d rounds" calls
+      r.Engine.rounds
 
 (* ------------------------------------------------------------------ *)
 (* Churn-hook smoke tests.                                            *)
@@ -725,6 +784,8 @@ let () =
         [
           Alcotest.test_case "callee resolved only when needed" `Quick
             test_idle_channel_skip;
+          Alcotest.test_case "no liveness calls in fault-free rounds" `Quick
+            test_fault_free_no_alive;
         ] );
       ( "churn hooks",
         [

@@ -145,8 +145,7 @@ let test_overlay_topology_view () =
   Alcotest.(check bool) "deactivation visible" false (t.Rumor_sim.Topology.alive 0)
 
 (* Pin the documented bounds contract: [neighbor] checks its index
-   against the adjacency length (dead ids have length 0), unlike the
-   unchecked [to_topology] fast path. *)
+   against the adjacency length (dead ids have length 0). *)
 let test_overlay_neighbor_bounds () =
   let o = Overlay.create ~capacity:4 in
   let a = Overlay.activate o and b = Overlay.activate o in
@@ -161,6 +160,23 @@ let test_overlay_neighbor_bounds () =
   Alcotest.check_raises "dead id has no entries"
     (Invalid_argument "Overlay.neighbor: index") (fun () ->
       ignore (Overlay.neighbor o 3 0))
+
+(* The engine's view checks the same way: after an edge goes, an index
+   that was valid a round ago must not read the stale slot behind the
+   adjacency length. *)
+let test_overlay_view_neighbor_bounds () =
+  let o = Overlay.create ~capacity:4 in
+  let a = Overlay.activate o in
+  let b = Overlay.activate o and c = Overlay.activate o in
+  Overlay.add_edge o a b;
+  Overlay.add_edge o a c;
+  let t = Overlay.to_topology o in
+  let stale = t.Rumor_sim.Topology.degree a - 1 in
+  ignore (Overlay.remove_edge o a (t.Rumor_sim.Topology.neighbor a 0));
+  Alcotest.(check int) "degree shrank" stale (t.Rumor_sim.Topology.degree a);
+  Alcotest.check_raises "stale index"
+    (Invalid_argument "Overlay.neighbor: index") (fun () ->
+      ignore (t.Rumor_sim.Topology.neighbor a stale))
 
 (* --- Churn --- *)
 
@@ -550,6 +566,8 @@ let () =
           Alcotest.test_case "topology view" `Quick test_overlay_topology_view;
           Alcotest.test_case "neighbor bounds" `Quick
             test_overlay_neighbor_bounds;
+          Alcotest.test_case "view neighbor bounds" `Quick
+            test_overlay_view_neighbor_bounds;
         ] );
       ( "churn",
         [

@@ -80,6 +80,105 @@ let test_xoshiro_copy_independent () =
   let c = Xoshiro.create 11L in
   Alcotest.(check int64) "copy kept old state" (Xoshiro.next c) (Xoshiro.next b)
 
+(* Textbook xoshiro256** on boxed [Int64] words, straight from the
+   reference C code: the oracle for the unboxed implementation. *)
+module Ref_xoshiro = struct
+  type t = int64 array
+
+  let rotl x k =
+    Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+
+  let next s =
+    let result = Int64.mul (rotl (Int64.mul s.(1) 5L) 7) 9L in
+    let t = Int64.shift_left s.(1) 17 in
+    s.(2) <- Int64.logxor s.(2) s.(0);
+    s.(3) <- Int64.logxor s.(3) s.(1);
+    s.(1) <- Int64.logxor s.(1) s.(2);
+    s.(0) <- Int64.logxor s.(0) s.(3);
+    s.(2) <- Int64.logxor s.(2) t;
+    s.(3) <- rotl s.(3) 45;
+    result
+
+  let jump s =
+    let tbl =
+      [| 0x180EC6D33CFD0ABAL; 0xD5A61266F0C9392CL; 0xA9582618E03FC9AAL;
+         0x39ABDC4529B1661CL |]
+    in
+    let acc = Array.make 4 0L in
+    Array.iter
+      (fun word ->
+        for b = 0 to 63 do
+          if Int64.logand word (Int64.shift_left 1L b) <> 0L then
+            for i = 0 to 3 do
+              acc.(i) <- Int64.logxor acc.(i) s.(i)
+            done;
+          ignore (next s)
+        done)
+      tbl;
+    Array.blit acc 0 s 0 4
+end
+
+let test_xoshiro_reference_vectors () =
+  let t = Xoshiro.of_state 1L 2L 3L 4L in
+  List.iter
+    (fun want -> Alcotest.(check int64) "next" want (Xoshiro.next t))
+    [ 11520L; 0L; 1509978240L; 1215971899390074240L ]
+
+(* Every accessor against the textbook generator, 10^5 outputs per
+   state, from explicit states, a seeded one, a copy and a jumped one. *)
+let test_xoshiro_matches_textbook () =
+  let against name (t : Xoshiro.t) (s : Ref_xoshiro.t) =
+    for i = 1 to 100_000 do
+      let want = Ref_xoshiro.next s in
+      let fail what got =
+        Alcotest.failf "%s: output %d: %s gave %Ld, textbook %Ld" name i what
+          got want
+      in
+      match i mod 4 with
+      | 0 ->
+          let got = Xoshiro.next t in
+          if got <> want then fail "next" got
+      | 1 ->
+          let got = Xoshiro.bits62 t in
+          if got <> Int64.to_int (Int64.shift_right_logical want 2) then
+            fail "bits62" (Int64.of_int got)
+      | 2 ->
+          let got = Xoshiro.bits53 t in
+          if got <> Int64.to_int (Int64.shift_right_logical want 11) then
+            fail "bits53" (Int64.of_int got)
+      | _ ->
+          let got = Xoshiro.bit t in
+          if got <> Int64.to_int (Int64.logand want 1L) then
+            fail "bit" (Int64.of_int got)
+    done
+  in
+  let states =
+    [
+      (1L, 2L, 3L, 4L);
+      (-1L, -1L, -1L, -1L);
+      (0L, 0L, 0L, Int64.min_int);
+      (0x0123456789ABCDEFL, 0xFEDCBA9876543210L, 0x5555555555555555L,
+       0xAAAAAAAAAAAAAAAAL);
+    ]
+  in
+  List.iter
+    (fun (a, b, c, d) ->
+      let name = Printf.sprintf "state %Lx" a in
+      let t = Xoshiro.of_state a b c d and s = [| a; b; c; d |] in
+      against name t s;
+      let t' = Xoshiro.copy t and s' = Array.copy s in
+      against (name ^ " copy") t' s';
+      Xoshiro.jump t;
+      Ref_xoshiro.jump s;
+      against (name ^ " jumped") t s;
+      (* The copy is untouched by the original's jump. *)
+      against (name ^ " copy after jump") t' s')
+    states;
+  (* A seeded state is four SplitMix64 outputs. *)
+  let sm = Splitmix64.create 2024L in
+  let s = Array.init 4 (fun _ -> Splitmix64.next sm) in
+  against "seed 2024" (Xoshiro.create 2024L) s
+
 (* --- Rng --- *)
 
 let test_rng_int_bounds () =
@@ -190,6 +289,80 @@ let test_rng_distinct_validity () =
       Alcotest.(check bool) "distinct" true (sorted.(i) <> sorted.(i - 1))
     done
   done
+
+(* [distinct_into] against its definition on a copied stream: k
+   [Rng.int] draws with duplicate rejection when 2k <= bound, a partial
+   Fisher-Yates over the identity otherwise. Every bound 1..64 and every
+   k, so the one-loop branch (bound <= 62), the bounds above it and the
+   dense branch all meet the same oracle, value for value and with the
+   stream left at the same place. *)
+let test_rng_distinct_into_definition () =
+  let t = Rng.create 77 in
+  let out = Array.make 64 (-1) in
+  for bound = 1 to 64 do
+    for k = 0 to bound do
+      for _ = 1 to 4 do
+        let r = Rng.copy t in
+        let want =
+          if 2 * k <= bound then begin
+            let acc = ref [] in
+            while List.length !acc < k do
+              let x = Rng.int r bound in
+              if not (List.mem x !acc) then acc := x :: !acc
+            done;
+            Array.of_list (List.rev !acc)
+          end
+          else begin
+            let a = Array.init bound (fun i -> i) in
+            Rng.shuffle_prefix r a k;
+            Array.sub a 0 k
+          end
+        in
+        let got = Rng.distinct_into t ~bound ~k out in
+        let what = Printf.sprintf "bound %d, k %d" bound k in
+        Alcotest.(check int) (what ^ ": count") k got;
+        Alcotest.(check (array int)) (what ^ ": values") want
+          (Array.sub out 0 k);
+        Alcotest.(check int64) (what ^ ": stream position") (Rng.bits64 r)
+          (Rng.bits64 t)
+      done
+    done
+  done
+
+(* Drawing allocates nothing: a helper that returns an [int64] across a
+   call that is not inlined boxes every draw. [Rng.float] returns a
+   float, which a call boundary boxes (two words); its draw itself is
+   pinned through [bernoulli], which shares it. *)
+let test_draws_allocate_nothing () =
+  let calls = 10_000 in
+  let t = Rng.create 5 and x = Xoshiro.create 5L in
+  let out = Array.make 4 0 in
+  let sink = ref 0 in
+  let words f =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    Gc.minor_words () -. w0
+  in
+  let pin name ?(per_call = 0) f =
+    let w = words f in
+    if w > float_of_int ((per_call * calls) + 64) then
+      Alcotest.failf "%s: %.0f minor words over %d calls" name w calls
+  in
+  pin "Rng.int" (fun () -> sink := !sink + Rng.int t 37);
+  pin "Rng.int (bound 2^40)" (fun () -> sink := !sink + Rng.int t (1 lsl 40));
+  pin "Rng.float" ~per_call:2 (fun () -> ignore (Rng.float t));
+  pin "Rng.bool" (fun () -> if Rng.bool t then incr sink);
+  pin "Rng.bernoulli" (fun () -> if Rng.bernoulli t 0.3 then incr sink);
+  pin "Rng.distinct_into (4 of 8)" (fun () ->
+      sink := !sink + Rng.distinct_into t ~bound:8 ~k:4 out);
+  pin "Rng.distinct_into (4 of 100)" (fun () ->
+      sink := !sink + Rng.distinct_into t ~bound:100 ~k:4 out);
+  pin "Xoshiro.bits62" (fun () -> sink := !sink + Xoshiro.bits62 x);
+  pin "Xoshiro.bits53" (fun () -> sink := !sink + Xoshiro.bits53 x);
+  pin "Xoshiro.bit" (fun () -> sink := !sink + Xoshiro.bit x);
+  ignore (Sys.opaque_identity !sink)
 
 let test_rng_distinct_full () =
   let t = Rng.create 10 in
@@ -468,6 +641,10 @@ let () =
           Alcotest.test_case "of_state zero" `Quick test_xoshiro_of_state_zero;
           Alcotest.test_case "jump disjoint" `Quick test_xoshiro_jump_disjoint;
           Alcotest.test_case "copy independent" `Quick test_xoshiro_copy_independent;
+          Alcotest.test_case "reference vectors" `Quick
+            test_xoshiro_reference_vectors;
+          Alcotest.test_case "matches textbook" `Quick
+            test_xoshiro_matches_textbook;
         ] );
       ( "rng",
         [
@@ -490,6 +667,10 @@ let () =
           Alcotest.test_case "fork independent" `Quick test_rng_fork_independent;
           Alcotest.test_case "fork reproducible" `Quick test_rng_fork_reproducible;
           Alcotest.test_case "split advances" `Quick test_rng_split_advances;
+          Alcotest.test_case "distinct_into definition" `Quick
+            test_rng_distinct_into_definition;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            test_draws_allocate_nothing;
         ] );
       ( "dist",
         [

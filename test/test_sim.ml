@@ -188,6 +188,25 @@ let test_selector_quasirandom_fanout () =
   | _ -> Alcotest.fail "expected three picks");
   ()
 
+(* Churn shrinks degrees between rounds: the cyclic position a node
+   kept from a larger adjacency list must be reduced to the new one. *)
+let test_selector_quasirandom_shrink () =
+  for seed = 1 to 200 do
+    let sel = Selector.make (Selector.Quasirandom { fanout = 4 }) ~capacity:1 in
+    let rng = Rng.create seed in
+    ignore (select_list sel ~rng ~node:0 ~degree:8 4);
+    match select_list sel ~rng ~node:0 ~degree:3 4 with
+    | [ a; b; c ] ->
+        List.iter
+          (fun i ->
+            if i < 0 || i >= 3 then
+              Alcotest.failf "seed %d: index %d at degree 3" seed i)
+          [ a; b; c ];
+        Alcotest.(check int) "cyclic" ((a + 1) mod 3) b;
+        Alcotest.(check int) "cyclic" ((b + 1) mod 3) c
+    | _ -> Alcotest.fail "expected three picks"
+  done
+
 let test_selector_avoid_recent () =
   let sel =
     Selector.make (Selector.Avoid_recent { fanout = 1; window = 3 }) ~capacity:1
@@ -481,6 +500,8 @@ let () =
           Alcotest.test_case "avoid recent small degree" `Quick
             test_selector_avoid_recent_small_degree;
           Alcotest.test_case "per-node memory" `Quick test_selector_per_node_memory;
+          Alcotest.test_case "quasirandom degree shrink" `Quick
+            test_selector_quasirandom_shrink;
         ] );
       ( "engine",
         [
