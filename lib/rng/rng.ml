@@ -26,28 +26,9 @@ let fork t i =
 
 let bits64 = Xoshiro.next
 
-(* The smallest all-ones mask covering [bound - 1] (at least 1), by
-   smearing its top bit down. *)
-let[@inline] mask_of bound =
-  let m = if bound > 1 then bound - 1 else 1 in
-  let m = m lor (m lsr 1) in
-  let m = m lor (m lsr 2) in
-  let m = m lor (m lsr 4) in
-  let m = m lor (m lsr 8) in
-  let m = m lor (m lsr 16) in
-  m lor (m lsr 32)
-
-(* Unbiased bounded integers via rejection on the top 62 bits. Plain
-   loops over local refs (which ocamlopt keeps in registers) rather than
-   local recursive functions, so a draw allocates nothing. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
-  let mask = mask_of bound in
-  let x = ref (Xoshiro.bits62 t land mask) in
-  while !x >= bound do
-    x := Xoshiro.bits62 t land mask
-  done;
-  !x
+  Xoshiro.below t bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: hi < lo";
@@ -82,27 +63,10 @@ let pick t a =
 let distinct_into t ~bound ~k out =
   if k < 0 || k > bound then invalid_arg "Rng.distinct_into: k out of range";
   if Array.length out < k then invalid_arg "Rng.distinct_into: out too short";
-  if 2 * k <= bound && bound <= 62 then begin
-    (* The paper's four-of-d choice: the same rejection draws as below,
-       in one loop with the generator state in registers. *)
-    Xoshiro.distinct_small t ~bound ~mask:(mask_of bound) ~k out;
-    k
-  end
-  else if 2 * k <= bound then begin
+  if 2 * k <= bound then begin
     (* Rejection: for k <= bound/2 the expected number of retries per
        position is at most 1, and k is tiny (4 in the paper's model). *)
-    let i = ref 0 in
-    while !i < k do
-      let x = int t bound in
-      let dup = ref false in
-      for j = 0 to !i - 1 do
-        if out.(j) = x then dup := true
-      done;
-      if not !dup then begin
-        out.(!i) <- x;
-        incr i
-      end
-    done;
+    Xoshiro.distinct_into t ~bound ~k out;
     k
   end
   else begin

@@ -78,9 +78,9 @@ val distinct_into : t -> bound:int -> k:int -> int array -> int
     integers from [\[0, bound)] into [out.(0..k-1)] and returns [k];
     allocation-free fast path for the simulator inner loop. For
     [2k <= bound] it makes exactly the draws of [k] {!int} calls with
-    duplicates rejected (in one register-resident loop when
-    [bound <= 62]); otherwise those of {!shuffle_prefix} on the
-    identity array.
+    duplicates rejected (in one register-resident loop,
+    {!Xoshiro.distinct_into}); otherwise those of {!shuffle_prefix} on
+    the identity array.
     @raise Invalid_argument if [k < 0], [k > bound] or
     [Array.length out < k]. *)
 

@@ -34,15 +34,38 @@ let bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
 let bit t = Int64.to_int (step t) land 1
 let next t = step t
 
-(* The rejection branch of [Rng.distinct_into] for bounds up to 62, as
-   one loop: the state sits in local refs (registers) and is written
-   back once, and the drawn indices are remembered in an int bitmask.
-   The draws, their rejection test and the duplicate test are exactly
-   those of k [Rng.int] calls followed by a linear duplicate scan. *)
-let distinct_small t ~bound ~mask ~k out =
+(* The smallest all-ones mask covering [bound - 1] (at least 1), by
+   smearing its top bit down. *)
+let[@inline] mask_of bound =
+  let m = if bound > 1 then bound - 1 else 1 in
+  let m = m lor (m lsr 1) in
+  let m = m lor (m lsr 2) in
+  let m = m lor (m lsr 4) in
+  let m = m lor (m lsr 8) in
+  let m = m lor (m lsr 16) in
+  m lor (m lsr 32)
+
+(* Unbiased bounded integers: [bits62] under the mask, rejected while
+   at least [bound]. A plain loop over a local ref (kept in a register)
+   rather than a local recursive function, so a draw allocates
+   nothing. *)
+let below t bound =
+  let mask = mask_of bound in
+  let x = ref (bits62 t land mask) in
+  while !x >= bound do
+    x := bits62 t land mask
+  done;
+  !x
+
+(* [k] draws of [below] with duplicate rejection, as one loop: the
+   state sits in local refs (registers) and is written back once. The
+   duplicate test scans the values already accepted, at most [k - 1]
+   compares (three in the paper's four-of-d choice). *)
+let distinct_into t ~bound ~k out =
+  let mask = mask_of bound in
   let s0 = ref (get t 0) and s1 = ref (get t 8) in
   let s2 = ref (get t 16) and s3 = ref (get t 24) in
-  let seen = ref 0 and i = ref 0 in
+  let i = ref 0 in
   while !i < k do
     let a0 = !s0 and a1 = !s1 in
     let x =
@@ -56,10 +79,15 @@ let distinct_small t ~bound ~mask ~k out =
     s1 := Int64.logxor a1 a2;
     s2 := Int64.logxor a2 (Int64.shift_left a1 17);
     s3 := rotl a3 45;
-    if x < bound && !seen land (1 lsl x) = 0 then begin
-      seen := !seen lor (1 lsl x);
-      out.(!i) <- x;
-      incr i
+    if x < bound then begin
+      let j = ref 0 in
+      while !j < !i && out.(!j) <> x do
+        incr j
+      done;
+      if !j = !i then begin
+        out.(!i) <- x;
+        incr i
+      end
     end
   done;
   set t 0 !s0;

@@ -8,8 +8,8 @@
     written with the raw 64-bit load/store primitives. ocamlopt keeps
     an [int64] unboxed while it stays inside one function, so every
     accessor inlines the whole generator step and returns a tagged
-    [int]: {!bits62}, {!bits53}, {!bit} and {!distinct_small} never
-    allocate. Only {!next} returns a boxed [int64] (three minor words
+    [int]: {!bits62}, {!bits53}, {!bit}, {!below} and {!distinct_into}
+    never allocate. Only {!next} returns a boxed [int64] (three minor words
     per call on non-flambda builds). Streams are bit-identical to the
     reference generator. *)
 
@@ -49,16 +49,21 @@ val bit : t -> int
     of the same output [next] would have produced, without
     allocating. *)
 
-val distinct_small :
-  t -> bound:int -> mask:int -> k:int -> int array -> unit
-(** [distinct_small t ~bound ~mask ~k out] writes [k] pairwise-distinct
-    values from [\[0, bound)] into [out.(0..k-1)], without allocating.
-    Each candidate is [bits62 t land mask], rejected when it is at
-    least [bound] or already drawn, so the draws, the values and the
-    final state equal those of [k] {!Rng.int} draws with duplicate
-    rejection. Preconditions (unchecked): [1 <= bound <= 62], [mask] is
-    the smallest [2^j - 1 >= max 1 (bound - 1)], [0 <= k <= bound] and
-    [Array.length out >= k]. *)
+val below : t -> int -> int
+(** [below t bound] is a uniform integer in [\[0, bound)], by rejection:
+    each candidate is [bits62 t land mask], where [mask] is the smallest
+    [2^j - 1 >= max 1 (bound - 1)], drawn again while it is at least
+    [bound]. Allocates nothing. Precondition (unchecked): [bound >= 1];
+    {!Rng.int} is the checked entry point. *)
+
+val distinct_into : t -> bound:int -> k:int -> int array -> unit
+(** [distinct_into t ~bound ~k out] writes [k] pairwise-distinct values
+    from [\[0, bound)] into [out.(0..k-1)], without allocating. The
+    draws, the values and the final state equal those of [k] {!below}
+    draws that reject a value already drawn. Preconditions (unchecked):
+    [0 <= k <= bound] and [Array.length out >= k]; it is meant for
+    [k] well below [bound] ({!Rng.distinct_into} checks and picks the
+    branch). *)
 
 val jump : t -> unit
 (** [jump t] advances [t] by [2^128] steps. Starting from a common seed,

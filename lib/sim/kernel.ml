@@ -359,6 +359,23 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     | None -> true
     | Some g -> g ~informed:(informed_all u) ~node:u ~round:!cur_round
   in
+  (* The current round's transmission counts. *)
+  let push_now = ref 0 and pull_now = ref 0 in
+  (* One open channel [u -> w] of table [tb]: [u] pushes when [push]
+     holds and the push survives, then [w] answers if it pulls. Both
+     delivery loops go through here, so they draw in the same order. *)
+  let deliver tb u w push =
+    if push && push_ok u then begin
+      incr push_now;
+      tb.push_tx <- tb.push_tx + 1;
+      transmit tb u w
+    end;
+    if Bitset.get tb.informed w && pull_of tb w && pull_ok w then begin
+      incr pull_now;
+      tb.pull_tx <- tb.pull_tx + 1;
+      transmit tb w u
+    end
+  in
   (* Quiescence is a pure conjunction over informed live nodes, so the
      scan may exit at the first talkative node; remembering that node
      as a per-table witness makes the steady-state check O(1) — it
@@ -472,7 +489,9 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
       let tb = tbs.(j) in
       if (not tb.injected) && tb.created = r - 1 then inject tb
     done;
-    let push_now = ref 0 and pull_now = ref 0 and channels_now = ref 0 in
+    push_now := 0;
+    pull_now := 0;
+    let channels_now = ref 0 in
     if fault_free then begin
       let idle = not (any_pulls 0) in
       for u = 0 to cap - 1 do
@@ -496,18 +515,7 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
               for i = 0 to k - 1 do
                 let w = topology.neighbor u scratch.(i) in
                 for j = 0 to nt - 1 do
-                  let tb = tbs.(j) in
-                  if pushes.(j) && push_ok u then begin
-                    incr push_now;
-                    tb.push_tx <- tb.push_tx + 1;
-                    transmit tb u w
-                  end;
-                  if Bitset.get tb.informed w && pull_of tb w && pull_ok w
-                  then begin
-                    incr pull_now;
-                    tb.pull_tx <- tb.pull_tx + 1;
-                    transmit tb w u
-                  end
+                  deliver tbs.(j) u w pushes.(j)
                 done
               done
           end
@@ -534,18 +542,7 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
                 incr channels_now;
                 for j = 0 to nt - 1 do
                   let tb = tbs.(j) in
-                  if Bitset.get tb.informed u && push_of tb u && push_ok u
-                  then begin
-                    incr push_now;
-                    tb.push_tx <- tb.push_tx + 1;
-                    transmit tb u w
-                  end;
-                  if Bitset.get tb.informed w && pull_of tb w && pull_ok w
-                  then begin
-                    incr pull_now;
-                    tb.pull_tx <- tb.pull_tx + 1;
-                    transmit tb w u
-                  end
+                  deliver tb u w (Bitset.get tb.informed u && push_of tb u)
                 done
               end
             done

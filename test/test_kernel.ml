@@ -503,16 +503,22 @@ let fault_free_of_seed seed =
     if Rng.int c 3 = 0 then Some (Fault.burst ~loss:0.2 ~burst_len:3.)
     else None
   in
-  {
-    seed;
-    n;
-    d;
-    pchoice = Rng.int c 5;
-    fault = Fault.plan ~link_loss ~push_loss ~pull_loss ?burst ();
-    skewed = Rng.int c 3 = 0;
-    stop = Rng.int c 4 = 0;
-    gated = Rng.int c 3 = 0;
-  }
+  let cfg =
+    {
+      seed;
+      n;
+      d;
+      pchoice = Rng.int c 5;
+      fault = Fault.plan ~link_loss ~push_loss ~pull_loss ?burst ();
+      skewed = Rng.int c 3 = 0;
+      stop = Rng.int c 4 = 0;
+      gated = false;
+    }
+  in
+  (* Drawn after the record, whose fields are evaluated in an
+     unspecified order, so the configurations without the gate are
+     those the generator drew before it had one. *)
+  { cfg with gated = Rng.int c 3 = 0 }
 
 (* A repair epoch's kind of gate: it closes some nodes in some rounds,
    informed or not, as a fixed function of its arguments. *)

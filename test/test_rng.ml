@@ -293,9 +293,9 @@ let test_rng_distinct_validity () =
 (* [distinct_into] against its definition on a copied stream: k
    [Rng.int] draws with duplicate rejection when 2k <= bound, a partial
    Fisher-Yates over the identity otherwise. Every bound 1..64 and every
-   k, so the one-loop branch (bound <= 62), the bounds above it and the
-   dense branch all meet the same oracle, value for value and with the
-   stream left at the same place. *)
+   k, so the rejection loop at every mask width up to 2^6 and the dense
+   branch meet the same oracle, value for value and with the stream
+   left at the same place. *)
 let test_rng_distinct_into_definition () =
   let t = Rng.create 77 in
   let out = Array.make 64 (-1) in
