@@ -92,9 +92,10 @@ let is_implicit topology =
   String.length topology >= 9 && String.sub topology 0 9 = "implicit-"
 
 (* Materialising a graph above this size means hundreds of MB of stub
-   arrays and CSR before the run even starts; beyond it only the
-   implicit views are viable. 2^22 nodes at d = 8 is already a ~260 MB
-   build. *)
+   buffer and CSR before the run even starts; beyond it only the
+   implicit views are viable. Sampling 2^22 nodes at d = 8 already
+   peaks near 480 MiB (a 128 MiB stub buffer next to the 288 MiB CSR
+   and the 32 MiB degree array), and the CSR stays for the run. *)
 let materialise_cap = 1 lsl 22
 
 let protocols =

@@ -9,8 +9,21 @@
 val pair : rng:Rumor_rng.Rng.t -> deg:int array -> Rumor_graph.Graph.t
 (** [pair ~rng ~deg] samples one pairing. The result may contain
     self-loops and parallel edges, exactly as the paper's process.
-    @raise Invalid_argument if the degree sum is odd or a degree is
-    negative. *)
+
+    The stubs live in one 4-byte-per-stub buffer (a [Bytes.t] read and
+    written as signed 32-bit cells), which is shuffled with exactly
+    {!Rumor_rng.Rng.shuffle}'s draws: one [Rng.int rng (total - i)] for
+    every position [i], the last one included. Consecutive stubs are
+    then scattered straight into the CSR arrays in edge order, with
+    offsets taken from [deg], so neighbour order is the one
+    {!Rumor_graph.Builder.build} gives for the same edge sequence. No
+    edge list is built; the result is checked by
+    {!Rumor_graph.Graph.create}. Peak footprint is 12 bytes per stub
+    (the buffer plus the adjacency array) and 8 bytes per vertex (the
+    offsets).
+    @raise Invalid_argument if the degree sum is odd, a degree is
+    negative, or [Array.length deg > 2^31] (ids that do not fit 31 bits
+    are rejected rather than wrapped). *)
 
 val pair_simple :
   rng:Rumor_rng.Rng.t -> deg:int array -> max_attempts:int ->

@@ -12,15 +12,20 @@ let bfs_into g srcs dist =
         incr tail
       end)
     srcs;
+  (* Indexed neighbour reads rather than [Graph.iter_neighbors]: a
+     closure per dequeued vertex would be n allocations per search. *)
   while !head < !tail do
     let v = queue.(!head) in
     incr head;
-    Graph.iter_neighbors g v (fun w ->
-        if dist.(w) < 0 then begin
-          dist.(w) <- dist.(v) + 1;
-          queue.(!tail) <- w;
-          incr tail
-        end)
+    let dv = dist.(v) + 1 in
+    for i = 0 to Graph.degree g v - 1 do
+      let w = Graph.neighbor g v i in
+      if dist.(w) < 0 then begin
+        dist.(w) <- dv;
+        queue.(!tail) <- w;
+        incr tail
+      end
+    done
   done
 
 let bfs_multi g srcs =
@@ -45,20 +50,59 @@ let components g =
       while !head < !tail do
         let v = queue.(!head) in
         incr head;
-        Graph.iter_neighbors g v (fun w ->
-            if label.(w) < 0 then begin
-              label.(w) <- c;
-              queue.(!tail) <- w;
-              incr tail
-            end)
+        for i = 0 to Graph.degree g v - 1 do
+          let w = Graph.neighbor g v i in
+          if label.(w) < 0 then begin
+            label.(w) <- c;
+            queue.(!tail) <- w;
+            incr tail
+          end
+        done
       done
     end
   done;
   (label, !k)
 
+(* Union-find over the [v < w] edges in CSR order, with path halving:
+   one [int array] and no queue, and the scan stops once a single
+   component remains. Roots link by index (the larger under the
+   smaller), so the root of the vertex being scanned is tracked across
+   its edges instead of found again. Self-loops and parallel edges
+   merge nothing. *)
 let is_connected g =
-  let _, k = components g in
-  k <= 1
+  let n = Graph.n g in
+  let parent = Array.init n Fun.id in
+  let rec find x =
+    let p = parent.(x) in
+    if p = x then x
+    else begin
+      let gp = parent.(p) in
+      parent.(x) <- gp;
+      if gp = p then p else find gp
+    end
+  in
+  let comps = ref n and u = ref 0 in
+  while !comps > 1 && !u < n do
+    let v = !u in
+    let rv = ref (find v) in
+    for i = 0 to Graph.degree g v - 1 do
+      let w = Graph.neighbor g v i in
+      if v < w then begin
+        let rw = find w in
+        if !rv < rw then begin
+          parent.(rw) <- !rv;
+          decr comps
+        end
+        else if rw < !rv then begin
+          parent.(!rv) <- rw;
+          rv := rw;
+          decr comps
+        end
+      end
+    done;
+    incr u
+  done;
+  !comps <= 1
 
 let largest_component g =
   let label, k = components g in

@@ -13,7 +13,10 @@ val components : Graph.t -> int array * int
 
 val is_connected : Graph.t -> bool
 (** Whether the graph has exactly one connected component (the empty
-    graph counts as connected). *)
+    graph counts as connected); the same answer as [components g]
+    having at most one component. A union-find over the edges in CSR
+    order, with one [int] per vertex of scratch and no allocation per
+    vertex, that stops as soon as everything is merged. *)
 
 val largest_component : Graph.t -> int
 (** Size of the largest connected component (0 for the empty graph). *)

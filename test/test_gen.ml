@@ -4,6 +4,7 @@
 
 module Rng = Rumor_rng.Rng
 module Graph = Rumor_graph.Graph
+module Builder = Rumor_graph.Builder
 module Traversal = Rumor_graph.Traversal
 module Config_model = Rumor_gen.Config_model
 module Regular = Rumor_gen.Regular
@@ -300,6 +301,52 @@ let prop_product_degree_addition =
       let g = Classic.cycle nc and h = Classic.complete k in
       Graph.is_regular (Product.cartesian g h) = Some (2 + k - 1))
 
+(* Reference pairing: an [int array] of stubs through [Rng.shuffle],
+   consecutive stubs added as edges to a [Builder]. [Config_model.pair]
+   must give the same graph, neighbour order included, from the same
+   draws. *)
+let reference_pair ~rng ~deg =
+  let n = Array.length deg in
+  let total = Array.fold_left ( + ) 0 deg in
+  let stubs = Array.make total 0 in
+  let k = ref 0 in
+  Array.iteri
+    (fun v d ->
+      for _ = 1 to d do
+        stubs.(!k) <- v;
+        incr k
+      done)
+    deg;
+  Rng.shuffle rng stubs;
+  let b = Builder.create ~capacity:(max (total / 2) 1) ~n () in
+  for e = 0 to (total / 2) - 1 do
+    Builder.add_edge b stubs.(2 * e) stubs.((2 * e) + 1)
+  done;
+  Builder.build b
+
+(* Degree sequences with zeros, n = 0 and n = 1, and few enough
+   vertices that self-loops and parallel edges are common. *)
+let arbitrary_degrees =
+  QCheck.make
+    ~print:(fun (seed, deg) ->
+      Printf.sprintf "seed=%d deg=[|%s|]" seed
+        (String.concat "; " (Array.to_list (Array.map string_of_int deg))))
+    QCheck.Gen.(
+      pair small_nat
+        (map Array.of_list (list_size (int_bound 12) (int_bound 7))))
+
+let prop_pair_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"pair = int-stub shuffle + Builder"
+    arbitrary_degrees
+    (fun (seed, deg) ->
+      let total = Array.fold_left ( + ) 0 deg in
+      if total mod 2 = 1 then deg.(0) <- deg.(0) + 1;
+      let rng = Rng.create seed and ref_rng = Rng.create seed in
+      let adjacency g = Array.init (Graph.n g) (Graph.neighbors g) in
+      adjacency (Config_model.pair ~rng ~deg)
+      = adjacency (reference_pair ~rng:ref_rng ~deg)
+      && Rng.bits64 rng = Rng.bits64 ref_rng)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -307,6 +354,7 @@ let qcheck_cases =
       prop_regular_samples_are_regular;
       prop_gnm_edge_exact;
       prop_product_degree_addition;
+      prop_pair_matches_reference;
     ]
 
 let () =

@@ -204,6 +204,25 @@ let test_average_distance_complete () =
   let avg = Traversal.average_distance g ~rng ~samples:5 in
   Alcotest.(check (float 1e-9)) "complete graph distance 1" 1. avg
 
+(* The searches allocate their O(n) arrays on the major heap and
+   nothing per vertex: a closure per dequeued vertex would show here as
+   several minor words per node. *)
+let test_traversal_allocation () =
+  let n = 10_000 in
+  let g = Rumor_gen.Classic.cycle n in
+  List.iter
+    (fun (name, f) ->
+      let before = Gc.minor_words () in
+      f ();
+      let words = Gc.minor_words () -. before in
+      if words > 100. then
+        Alcotest.failf "%s: %.0f minor words over %d vertices" name words n)
+    [
+      ("components", fun () -> ignore (Traversal.components g));
+      ("bfs", fun () -> ignore (Traversal.bfs g 0));
+      ("is_connected", fun () -> ignore (Traversal.is_connected g));
+    ]
+
 (* --- Metrics --- *)
 
 let test_degree_stats () =
@@ -342,11 +361,11 @@ let edge_list_gen =
         let edge = map2 (fun a b -> (a mod n, b mod n)) (int_bound 1000) (int_bound 1000) in
         map (fun es -> (n, es)) (list_size (int_bound 60) edge)))
 
-let arbitrary_edge_list =
-  QCheck.make ~print:(fun (n, es) ->
-      Printf.sprintf "n=%d edges=%s" n
-        (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) es)))
-    edge_list_gen
+let print_edge_list (n, es) =
+  Printf.sprintf "n=%d edges=%s" n
+    (String.concat ";" (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) es))
+
+let arbitrary_edge_list = QCheck.make ~print:print_edge_list edge_list_gen
 
 let prop_invariant =
   QCheck.Test.make ~count:200 ~name:"of_edges result satisfies invariant"
@@ -388,9 +407,33 @@ let prop_bfs_triangle_inequality =
           if (d.(u) >= 0) <> (d.(v) >= 0) then ok := false);
       !ok)
 
+(* Multigraphs for the connectivity differential: n from 0, up to
+   2n edges drawn with replacement, so self-loops, parallel
+   edges, isolated vertices and many components all occur. *)
+let multigraph_gen =
+  QCheck.Gen.(
+    int_bound 40 >>= fun n ->
+    if n = 0 then return (0, [])
+    else
+      let edge = pair (int_bound (n - 1)) (int_bound (n - 1)) in
+      map (fun es -> (n, es)) (list_size (int_bound (2 * n)) edge))
+
+let prop_is_connected_matches_components =
+  QCheck.Test.make ~count:500 ~name:"is_connected = components count <= 1"
+    (QCheck.make ~print:print_edge_list multigraph_gen)
+    (fun (n, es) ->
+      let g = Graph.of_edges ~n es in
+      Traversal.is_connected g = (snd (Traversal.components g) <= 1))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_invariant; prop_degree_sum; prop_roundtrip; prop_bfs_triangle_inequality ]
+    [
+      prop_invariant;
+      prop_degree_sum;
+      prop_roundtrip;
+      prop_bfs_triangle_inequality;
+      prop_is_connected_matches_components;
+    ]
 
 let () =
   Alcotest.run "rumor_graph"
@@ -431,6 +474,8 @@ let () =
           Alcotest.test_case "diameter cycle" `Quick test_diameter_cycle;
           Alcotest.test_case "avg distance complete" `Quick
             test_average_distance_complete;
+          Alcotest.test_case "no allocation per vertex" `Quick
+            test_traversal_allocation;
         ] );
       ( "metrics",
         [
