@@ -6,6 +6,13 @@
    empirical tables, so the theorem statements define the targets; see
    EXPERIMENTS.md for the paper-vs-measured record).
 
+   E1, E5, E6, E7, E11, A1, A12 and A13 are committed matrix files
+   (scenarios/matrix_*.txt) run by [matrix_experiment]; E1 adds a
+   slope fit. --quick runs a file's committed quick twin
+   (matrix_ci*.txt) when it has one, and otherwise shrinks it to
+   n = 4096 and 3 reps. E8 keeps a wrapper over its matrix file for
+   its survivor-only repair columns; the rest are hand-written loops.
+
    With --json FILE the harness additionally writes one machine-readable
    record per experiment (schema "rumor-bench/1": id, title, params,
    per-seed metrics, summaries, wall/CPU seconds, GC deltas, git
@@ -87,62 +94,42 @@ let fin x = float_of_int x
 let log2 = Params.log2
 
 (* One protocol run on a fresh G(n,d) instance; returns the engine result. *)
-let run_once ?fault ?(stop = false) ~rng ~n ~d protocol =
+let run_once ?(stop = false) ~rng ~n ~d protocol =
   let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
-  Run.once ?fault ~stop_when_complete:stop ~rng ~graph:g ~protocol
+  Run.once ~stop_when_complete:stop ~rng ~graph:g ~protocol
     ~source:(Run.random_source rng g) ()
 
 type sweep_point = {
   tx_per_node : Summary.t;
-  rounds : Summary.t;
+  rounds : Summary.t;  (** completion (or last) round per repetition *)
   success : float;
-  per_seed_tx : float list;  (** tx/node, one entry per repetition *)
-  per_seed_rounds : float list;  (** completion (or last) round per repetition *)
 }
 
-(* Summaries over a list of raw engine results — shared between the
-   inline [sweep] loops and the matrix-file wrappers, so a migrated
-   experiment rebuilds exactly the numbers its loop used to print. *)
-let sweep_point_of ~n results =
-  let per_seed_tx =
-    List.map (fun r -> fin (Engine.transmissions r) /. fin n) results
+let sweep ?(stop = false) ~seed ~n ~d protocol_of =
+  let results =
+    Experiment.replicate_parallel ~domains:(domains ()) ~seed ~reps:(reps ())
+      (fun rng -> run_once ~stop ~rng ~n ~d (protocol_of ()))
   in
-  let per_seed_rounds =
-    List.map
-      (fun r ->
-        match r.Engine.completion_round with
-        | Some c -> fin c
-        | None -> fin r.Engine.rounds)
-      results
+  let rounds (r : Engine.result) =
+    match r.Engine.completion_round with
+    | Some c -> fin c
+    | None -> fin r.Engine.rounds
   in
   {
-    tx_per_node = Summary.of_list per_seed_tx;
-    rounds = Summary.of_list per_seed_rounds;
+    tx_per_node =
+      Summary.of_list
+        (List.map (fun r -> fin (Engine.transmissions r) /. fin n) results);
+    rounds = Summary.of_list (List.map rounds results);
     success =
       fin (List.length (List.filter Engine.success results))
       /. fin (List.length results);
-    per_seed_tx;
-    per_seed_rounds;
   }
-
-let sweep ?fault ?(stop = false) ~seed ~n ~d protocol_of =
-  sweep_point_of ~n
-    (Experiment.replicate_parallel ~domains:(domains ()) ~seed
-       ~reps:(reps ()) (fun rng ->
-         run_once ?fault ~stop ~rng ~n ~d (protocol_of ())))
 
 (* --- committed matrix files ---
 
-   The migrated experiments load their sweep grids from
-   scenarios/matrix_*.txt instead of hardcoded loops. E5, E6, E11 and
-   A1 are their files outright (matrix_experiment); E1, E7's loss x
-   estimate grid, E8, A12 and A13 keep wrappers that patch the file for
-   --quick/--reps (Matrix.set_base / Matrix.override_axis keep the
-   per-cell seed arithmetic of the full grid) and rebuild the
-   historical tables and JSON points from the raw per-cell engine
-   results, so the emitted records are bit-identical to the
-   pre-migration loops: same offset seeds, same streams, same
-   scalars. *)
+   Experiments declared as scenarios/matrix_*.txt run through
+   [matrix_experiment]: each file prints its per-cell results table
+   and contributes one Matrix.point_json point per cell. *)
 
 let scenarios_dir () =
   if Sys.file_exists (Filename.concat "scenarios" "matrix_e1.txt") then
@@ -169,30 +156,49 @@ let patch_base spec ~key ~value =
   | Ok spec -> spec
   | Error m -> failwith m
 
-let patch_axis spec ~key ~values =
-  match Matrix.override_axis spec ~key ~values with
-  | Ok spec -> spec
-  | Error m -> failwith m
+let patch_reps spec r = patch_base spec ~key:"reps" ~value:(string_of_int r)
 
 let run_matrix spec =
   match Matrix.run ~domains:(domains ()) spec with
   | Ok rr -> rr
   | Error m -> failwith m
 
-(* An experiment that is its matrix file: the per-cell results table,
-   and one Matrix.point_json point per cell. --quick shrinks n to 4096
-   in place, so every cell keeps its seed. *)
-let matrix_experiment file () =
-  let spec = load_matrix file in
-  section spec.Matrix.id spec.Matrix.title;
-  let spec = patch_base spec ~key:"reps" ~value:(string_of_int (reps ())) in
-  let spec = if !quick then patch_base spec ~key:"n" ~value:"4096" else spec in
-  let rr = run_matrix spec in
-  print_endline (Matrix.results_table rr);
-  List.iter (fun o -> record_point (Matrix.point_json o)) rr.Matrix.outcomes
+(* An experiment that is its matrix files, titled after the first one.
+   --quick runs the committed quick twin when there is one; otherwise
+   it shrinks every file to n = 4096 and 3 reps in place, so each cell
+   keeps its seed. Full mode runs each file's own reps; --reps N
+   overrides reps in both modes. [postlude] sees every run result. *)
+let matrix_experiment ?quick_twin ?(postlude = ignore) files () =
+  let specs = List.map load_matrix files in
+  let first = List.hd specs in
+  section first.Matrix.id first.Matrix.title;
+  let specs =
+    match quick_twin with
+    | Some twin when !quick -> [ load_matrix twin ]
+    | None when !quick ->
+        List.map
+          (fun s -> patch_reps (patch_base s ~key:"n" ~value:"4096") 3)
+          specs
+    | _ -> specs
+  in
+  let specs =
+    match !reps_override with
+    | Some r -> List.map (fun s -> patch_reps s r) specs
+    | None -> specs
+  in
+  postlude
+    (List.map
+       (fun spec ->
+         let rr = run_matrix spec in
+         print_endline (Matrix.results_table rr);
+         List.iter
+           (fun o -> record_point (Matrix.point_json o))
+           rr.Matrix.outcomes;
+         rr)
+       specs)
 
 (* The raw engine results of the cell whose coordinates contain every
-   (key, value) of [subset] — subset matching keeps the wrappers
+   (key, value) of [subset] — subset matching keeps E8's wrapper
    independent of zip-key ordering inside [coords]. *)
 let results_where rr subset =
   match
@@ -209,23 +215,6 @@ let results_where rr subset =
         (Printf.sprintf "matrix cell {%s} missing (truncated run?)"
            (String.concat ", "
               (List.map (fun (k, v) -> k ^ " = " ^ v) subset)))
-
-(* One sweep point as a JSON object: summaries plus the raw per-seed
-   metrics, prefixed by caller-supplied parameter fields. *)
-let sweep_point_json ?(extra = []) pt =
-  Json.Obj
-    (extra
-    @ [
-        ("tx_per_node", Encode.summary pt.tx_per_node);
-        ("rounds", Encode.summary pt.rounds);
-        ("success_rate", Json.Float pt.success);
-        ( "per_seed",
-          Json.Obj
-            [
-              ("tx_per_node", Encode.float_list pt.per_seed_tx);
-              ("rounds", Encode.float_list pt.per_seed_rounds);
-            ] );
-      ])
 
 (* ------------------------------------------------------------------ *)
 (* E0: do generated instances satisfy the proofs' assumptions?         *)
@@ -285,90 +274,41 @@ let e0 () =
 (* E1 + E2: transmissions and rounds vs n (Theorems 2 and 3).          *)
 (* ------------------------------------------------------------------ *)
 
-let e1_e2 () =
-  section "E1/E2" "message and round complexity vs n (Theorems 2/3)";
-  let d = 8 in
-  let sizes =
-    if !quick then [ 1024; 4096; 16384 ]
-    else [ 1024; 2048; 4096; 8192; 16384; 32768; 65536 ]
+(* E1 is matrix_e1.txt (matrix_ci.txt under --quick); this postlude
+   fits each protocol's tx/node against log2 n. A cell's mean is the
+   Summary mean of its per-seed tx/node, and the points run from the
+   largest n down, the order the fit has always summed in. *)
+let e1_postlude rrs =
+  let curve proto =
+    List.concat_map (fun rr -> rr.Matrix.outcomes) rrs
+    |> List.filter_map (fun (o : Matrix.cell_outcome) ->
+           let coords = o.Matrix.cell.Matrix.coords in
+           match List.assoc "per_seed_tx" o.Matrix.per_seed with
+           | _ :: _ as txs when List.assoc "protocol" coords = proto ->
+               Some
+                 ( float_of_string (List.assoc "n" coords),
+                   (Summary.of_list txs).Summary.mean )
+           | _ -> None)
+    |> List.rev
   in
-  (* The committed grid is the full 3 protocols x 7 sizes; --quick
-     shrinks the n axis in place (list positions keep the historical
-     100+i / 200+i / 300+i seeds the quick loops used). *)
-  let spec = load_matrix "matrix_e1.txt" in
-  let spec = patch_base spec ~key:"reps" ~value:(string_of_int (reps ())) in
-  let spec =
-    if !quick then
-      patch_axis spec ~key:"n" ~values:(List.map string_of_int sizes)
-    else spec
-  in
-  let rr = run_matrix spec in
-  let cell proto n =
-    results_where rr [ ("protocol", proto); ("n", string_of_int n) ]
-  in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("n", Table.Right);
-          ("log2 n", Table.Right);
-          ("bef tx/node", Table.Right);
-          ("push tx/node", Table.Right);
-          ("pp-age tx/node", Table.Right);
-          ("bef rounds", Table.Right);
-          ("push rounds", Table.Right);
-          ("bef ok", Table.Right);
-        ]
-  in
-  let bef_pts = ref [] and push_pts = ref [] in
-  List.iter
-    (fun n ->
-      let bef = sweep_point_of ~n (cell "bef" n) in
-      let push = sweep_point_of ~n (cell "push" n) in
-      let pp_age = sweep_point_of ~n (cell "push-pull-age" n) in
-      bef_pts := (fin n, bef.tx_per_node.Summary.mean) :: !bef_pts;
-      push_pts := (fin n, push.tx_per_node.Summary.mean) :: !push_pts;
-      record_point
-        (Json.Obj
-           [
-             ("n", Json.Int n);
-             ("d", Json.Int d);
-             ("bef", sweep_point_json bef);
-             ("push", sweep_point_json push);
-             ("push_pull_age", sweep_point_json pp_age);
-           ]);
-      Table.add_row t
-        [
-          string_of_int n;
-          Printf.sprintf "%.0f" (log2 (fin n));
-          Printf.sprintf "%.1f" bef.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" push.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" pp_age.tx_per_node.Summary.mean;
-          Printf.sprintf "%.1f" bef.rounds.Summary.mean;
-          Printf.sprintf "%.1f" push.rounds.Summary.mean;
-          Printf.sprintf "%.0f%%" (100. *. bef.success);
-        ])
-    sizes;
-  Table.print t;
-  let bef_fit = Regression.semilogx !bef_pts in
-  let push_fit = Regression.semilogx !push_pts in
-  record "per_doubling_slope"
-    (Json.Obj
-       [
-         ("bef", Json.Float bef_fit.Regression.slope);
-         ("push", Json.Float push_fit.Regression.slope);
-       ]);
-  Printf.printf
-    "per-doubling growth of tx/node: bef %.3f vs push %.3f (paper: O(log log n) vs Theta(log n))\n"
-    bef_fit.Regression.slope push_fit.Regression.slope;
-  let to_log2x = List.map (fun (x, y) -> (log2 x, y)) in
-  print_string
-    (Rumor_stats.Plot.render ~width:56 ~height:12 ~x_label:"log2 n"
-       ~y_label:"tx/node"
-       [
-         { Rumor_stats.Plot.name = "bef"; marker = '*'; points = to_log2x !bef_pts };
-         { Rumor_stats.Plot.name = "push"; marker = 'o'; points = to_log2x !push_pts };
-       ])
+  let bef = curve "bef" and push = curve "push" in
+  if List.length bef >= 2 && List.length push >= 2 then begin
+    let slope pts = (Regression.semilogx pts).Regression.slope in
+    record "per_doubling_slope"
+      (Json.Obj
+         [ ("bef", Json.Float (slope bef)); ("push", Json.Float (slope push)) ]);
+    Printf.printf
+      "per-doubling growth of tx/node: bef %.3f vs push %.3f (paper: O(log log n) vs Theta(log n))\n"
+      (slope bef) (slope push);
+    let to_log2x = List.map (fun (x, y) -> (log2 x, y)) in
+    print_string
+      (Rumor_stats.Plot.render ~width:56 ~height:12 ~x_label:"log2 n"
+         ~y_label:"tx/node"
+         [
+           { Rumor_stats.Plot.name = "bef"; marker = '*'; points = to_log2x bef };
+           { Rumor_stats.Plot.name = "push"; marker = 'o'; points = to_log2x push };
+         ])
+  end
 
 (* ------------------------------------------------------------------ *)
 (* E3: the lower bound shape (Theorem 1).                              *)
@@ -518,141 +458,6 @@ let e4 () =
       Table.print t);
   Printf.printf "complete=%b total tx/node=%.1f\n" (Engine.success res)
     (fin (Engine.transmissions res) /. fin n)
-
-(* ------------------------------------------------------------------ *)
-(* E7: inaccurate estimates of n.                                      *)
-(* ------------------------------------------------------------------ *)
-
-let e7 () =
-  section "E7"
-    "fault intensity x size-estimate error frontier (Sections 1.2 and 4)";
-  let n = if !quick then 4096 else 16384 in
-  let d = 8 in
-  (* alpha = 2 doubles every phase length, the slack the paper's
-     "limited communication failures" analysis budgets for. Bursty loss
-     is the harsher model: a Gilbert-Elliott chain with mean burst
-     length 4 rounds, so a node in a bad state loses an entire phase of
-     transmissions, not an independent coin flip per message. *)
-  let alpha = 2.0 in
-  let burst_len = 4.0 in
-  (* The loss x estimate grid lives in scenarios/matrix_e7.txt (offset
-     seeds 900 + 10i + j); --quick only shrinks n. The scenario key
-     n_error is the estimate/n factor: ceil(n_error * n) equals the
-     historical int_of_float (n * factor) for these exact binary
-     factors at power-of-two n. *)
-  let spec = load_matrix "matrix_e7.txt" in
-  let spec = patch_base spec ~key:"reps" ~value:(string_of_int (reps ())) in
-  let spec =
-    if !quick then patch_base spec ~key:"n" ~value:(string_of_int n)
-    else spec
-  in
-  let rr = run_matrix spec in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("burst loss", Table.Right);
-          ("est/n", Table.Right);
-          ("success", Table.Right);
-          ("tx/node", Table.Right);
-          ("rounds", Table.Right);
-        ]
-  in
-  List.iter
-    (fun loss_s ->
-      List.iter
-        (fun factor_s ->
-          let loss = float_of_string loss_s
-          and factor = float_of_string factor_s in
-          let st =
-            sweep_point_of ~n
-              (results_where rr
-                 [ ("burst_loss", loss_s); ("n_error", factor_s) ])
-          in
-          record_point
-            (sweep_point_json
-               ~extra:
-                 [
-                   ("burst_loss", Json.Float loss);
-                   ("estimate_factor", Json.Float factor);
-                   ("n", Json.Int n);
-                   ("d", Json.Int d);
-                   ("alpha", Json.Float alpha);
-                 ]
-               st);
-          Table.add_row t
-            [
-              Printf.sprintf "%.2f" loss;
-              Printf.sprintf "%.3f" factor;
-              Printf.sprintf "%.0f%%" (100. *. st.success);
-              Printf.sprintf "%.1f" st.tx_per_node.Summary.mean;
-              Printf.sprintf "%.1f" st.rounds.Summary.mean;
-            ])
-        [ "0.125"; "0.25"; "1"; "4"; "8" ])
-    [ "0"; "0.05"; "0.1"; "0.2" ];
-  Table.print t;
-  (* Adversarial crash schedules on top of 10% bursty loss. *)
-  let t2 =
-    Table.create
-      ~columns:
-        [
-          ("crash schedule", Table.Left);
-          ("success", Table.Right);
-          ("coverage", Table.Right);
-          ("tx/node", Table.Right);
-        ]
-  in
-  let burst = Fault.burst ~loss:0.1 ~burst_len in
-  List.iteri
-    (fun i (label, plan) ->
-      let fault = { plan with Fault.burst = Some burst } in
-      let results =
-        Experiment.replicate_parallel ~domains:(domains ()) ~seed:(950 + i)
-          ~reps:(reps ()) (fun rng ->
-            run_once ~fault ~rng ~n ~d
-              (Algorithm.make (Params.make ~alpha ~n_estimate:n ~d ())))
-      in
-      let success =
-        fin (List.length (List.filter Engine.success results))
-        /. fin (List.length results)
-      in
-      let coverage =
-        Summary.of_list
-          (List.map
-             (fun r ->
-               if r.Engine.population = 0 then 0.
-               else fin r.Engine.informed /. fin r.Engine.population)
-             results)
-      in
-      let tx =
-        Summary.of_list
-          (List.map (fun r -> fin (Engine.transmissions r) /. fin n) results)
-      in
-      Table.add_row t2
-        [
-          label;
-          Printf.sprintf "%.0f%%" (100. *. success);
-          Printf.sprintf "%.4f" coverage.Summary.mean;
-          Printf.sprintf "%.1f" tx.Summary.mean;
-        ])
-    [
-      ("crash-stop 0.2%/round", Fault.plan ~crash_rate:0.002 ());
-      ( "crash-recovery 1%/round, recover 20%",
-        Fault.plan ~crash_rate:0.01 ~recover_rate:0.2 () );
-      ( "strike: random n/8 @ round 3",
-        Fault.plan
-          ~strike:
-            (Fault.strike ~adversary:Fault.Random_nodes ~at_round:3
-               ~count:(n / 8) ())
-          () );
-      ( "strike: highest-degree n/8 @ round 3",
-        Fault.plan
-          ~strike:
-            (Fault.strike ~adversary:Fault.Highest_degree ~at_round:3
-               ~count:(n / 8) ())
-          () );
-    ];
-  Table.print t2
 
 (* ------------------------------------------------------------------ *)
 (* E8: the self-healing frontier (fault x churn, repair on/off).       *)
@@ -1666,175 +1471,6 @@ let a11 () =
   record "rounds_checked" (Json.Int !checked);
   record "failures" (Json.Int !failures)
 
-(* A12: implicit topologies at scale — one broadcast at n = 10^7 over a
-   seed-derived random-regular view. The materialised pipeline tops out
-   near n = 2^20 (Scenario.materialise_cap: stub arrays, shuffle, CSR);
-   the implicit view keeps O(d) words of topology state, leaving only
-   the kernel's O(n) per-node arrays. The CI quick cell (n = 10^6)
-   gates wall seconds and minor words on this record, so a regression
-   that starts allocating per neighbour query — invisible at the 2^14
-   scale of the other experiments — fails the build here. *)
-let a12 () =
-  section "A12" "extension: implicit seed-derived topology at n = 10^7";
-  let n = if !quick then 1_000_000 else 10_000_000 in
-  let d = 8 in
-  (* One gate-carrying scale cell from scenarios/matrix_a12.txt (the
-     per-node allocation and wall-clock budgets live there as expect
-     lines, checked by `rumor matrix` in CI). The scenario kernel draws
-     the view seed from the replication stream, so this record is a new
-     trajectory, not a bit-identical continuation of the fixed-seed
-     pre-migration cell. *)
-  let spec = load_matrix "matrix_a12.txt" in
-  let spec =
-    if !quick then patch_base spec ~key:"n" ~value:(string_of_int n)
-    else spec
-  in
-  let rr = run_matrix spec in
-  let o = List.hd rr.Matrix.outcomes in
-  let res = List.hd o.Matrix.results in
-  let metric k = List.assoc k o.Matrix.metrics in
-  let wall_s = metric "wall_s" in
-  let tx_per_node = fin (Engine.transmissions res) /. fin n in
-  let words_per_node = metric "minor_words_per_node" in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("n", Table.Right);
-          ("rounds", Table.Right);
-          ("coverage", Table.Right);
-          ("tx/node", Table.Right);
-          ("wall s", Table.Right);
-          ("minor w/node", Table.Right);
-        ]
-  in
-  Table.add_row t
-    [
-      string_of_int n;
-      string_of_int res.Engine.rounds;
-      Printf.sprintf "%.4f" (Engine.coverage res);
-      Printf.sprintf "%.2f" tx_per_node;
-      Printf.sprintf "%.2f" wall_s;
-      Printf.sprintf "%.2f" words_per_node;
-    ];
-  Table.print t;
-  Printf.printf
-    "(implicit-regular d=%d push-pull: the graph is never built — \
-     neighbour queries are Feistel evaluations.\n\
-    \ minor words are the per-node protocol states; A13 runs bef itself \
-     at this scale on the packed per-node\n\
-    \ state, see EXPERIMENTS.md)\n"
-    d;
-  record "n" (Json.Int n);
-  record "d" (Json.Int d);
-  record "rounds" (Json.Int res.Engine.rounds);
-  record "completion_round"
-    (match res.Engine.completion_round with
-    | Some c -> Json.Int c
-    | None -> Json.Null);
-  record "coverage" (Json.Float (Engine.coverage res));
-  record "tx_per_node" (Json.Float tx_per_node);
-  record "run_wall_s" (Json.Float wall_s);
-  record "run_minor_words" (Json.Float (words_per_node *. fin n));
-  record "minor_words_per_node" (Json.Float words_per_node);
-  record "gates_failed" (Json.Int (Matrix.gates_failed rr))
-
-(* A13: the paper's algorithm at the packed-state frontier — one [bef]
-   broadcast over an implicit random-regular view, per-node protocol
-   state held in byte cells rather than boxed arrays. A12 pins the
-   implicit-topology plumbing with push-pull; this cell pins what that
-   plumbing was for: Algorithms 1/2 themselves at n = 10^7 (10^6 in
-   --quick; n = 10^8 via RUMOR_BENCH_A13_N=100000000, ~10^1 minutes and
-   ~1 GB RSS). The jq gates in CI hold wall seconds, coverage == 1.0,
-   minor words per node <= 1 and peak heap bytes per node on this
-   record, so a regression that reboxes the state — invisible at small
-   n — fails the build. *)
-let a13 () =
-  section "A13" "extension: packed-state bef at n = 10^7";
-  let n =
-    match Sys.getenv_opt "RUMOR_BENCH_A13_N" with
-    | Some v -> (
-        match int_of_string_opt v with
-        | Some x when x >= 4 && x land 1 = 0 -> x
-        | _ -> failwith "RUMOR_BENCH_A13_N must be an even integer >= 4")
-    | None -> if !quick then 1_000_000 else 10_000_000
-  in
-  let d = 8 in
-  (* The cell itself (bef over implicit-regular, packed per-node
-     state) comes from scenarios/matrix_a13.txt, allocation gates
-     included; only n is patched here for --quick / the env
-     override. *)
-  let spec = load_matrix "matrix_a13.txt" in
-  let spec =
-    if n <> 10_000_000 then patch_base spec ~key:"n" ~value:(string_of_int n)
-    else spec
-  in
-  (* VmHWM before the run: binary + implicit view, no per-node state
-     yet. The post-run peak minus this is (an upper bound on) the
-     run's own footprint — the kernel tables plus GC slack. *)
-  let rss0_kb = Metrics.peak_rss_kb () in
-  let rr = run_matrix spec in
-  let o = List.hd rr.Matrix.outcomes in
-  let res = List.hd o.Matrix.results in
-  let metric k = List.assoc k o.Matrix.metrics in
-  let wall_s = metric "wall_s" in
-  let protocol_name = Scenario.protocol_name o.Matrix.cell.Matrix.scenario in
-  let tx_per_node = fin (Engine.transmissions res) /. fin n in
-  let words_per_node = metric "minor_words_per_node" in
-  let heap_bytes_per_node = metric "heap_bytes_per_node" in
-  let peak_rss_kb = Metrics.peak_rss_kb () in
-  let rss_bytes_per_node = fin ((peak_rss_kb - rss0_kb) * 1024) /. fin n in
-  let t =
-    Table.create
-      ~columns:
-        [
-          ("n", Table.Right);
-          ("rounds", Table.Right);
-          ("coverage", Table.Right);
-          ("tx/node", Table.Right);
-          ("wall s", Table.Right);
-          ("minor w/node", Table.Right);
-          ("heap B/node", Table.Right);
-          ("rss B/node", Table.Right);
-        ]
-  in
-  Table.add_row t
-    [
-      string_of_int n;
-      string_of_int res.Engine.rounds;
-      Printf.sprintf "%.4f" (Engine.coverage res);
-      Printf.sprintf "%.2f" tx_per_node;
-      Printf.sprintf "%.2f" wall_s;
-      Printf.sprintf "%.2f" words_per_node;
-      Printf.sprintf "%.2f" heap_bytes_per_node;
-      Printf.sprintf "%.2f" rss_bytes_per_node;
-    ];
-  Table.print t;
-  Printf.printf
-    "(bef %s, packed per-node state: 8-bit phase codes + 8-bit decision \
-     stamps + 16-bit duplicate\n\
-    \ tallies + word-parallel bitsets — the boxed equivalent is ~9 words \
-     = 72 bytes per node)\n"
-    protocol_name;
-  record "n" (Json.Int n);
-  record "d" (Json.Int d);
-  record "protocol" (Json.String protocol_name);
-  record "rounds" (Json.Int res.Engine.rounds);
-  record "completion_round"
-    (match res.Engine.completion_round with
-    | Some c -> Json.Int c
-    | None -> Json.Null);
-  record "coverage" (Json.Float (Engine.coverage res));
-  record "tx_per_node" (Json.Float tx_per_node);
-  record "run_wall_s" (Json.Float wall_s);
-  record "run_minor_words" (Json.Float (words_per_node *. fin n));
-  record "minor_words_per_node" (Json.Float words_per_node);
-  record "heap_bytes_per_node" (Json.Float heap_bytes_per_node);
-  record "peak_rss_kb" (Json.Int peak_rss_kb);
-  record "baseline_rss_kb" (Json.Int rss0_kb);
-  record "rss_bytes_per_node" (Json.Float rss_bytes_per_node);
-  record "gates_failed" (Json.Int (Matrix.gates_failed rr))
-
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks.                                          *)
 (* ------------------------------------------------------------------ *)
@@ -1892,18 +1528,20 @@ let micro () =
 let all_experiments =
   [
     ("E0", e0);
-    ("E1", e1_e2);
+    ( "E1",
+      matrix_experiment ~quick_twin:"matrix_ci.txt" ~postlude:e1_postlude
+        [ "matrix_e1.txt" ] );
     ("E3", e3);
     ("E4", e4);
-    ("E5", matrix_experiment "matrix_e5.txt");
-    ("E6", matrix_experiment "matrix_e6.txt");
-    ("E7", e7);
+    ("E5", matrix_experiment [ "matrix_e5.txt" ]);
+    ("E6", matrix_experiment [ "matrix_e6.txt" ]);
+    ("E7", matrix_experiment [ "matrix_e7.txt"; "matrix_crash.txt" ]);
     ("E8", e8);
     ("E9", e9);
     ("E10", e10);
-    ("E11", matrix_experiment "matrix_e11.txt");
+    ("E11", matrix_experiment [ "matrix_e11.txt" ]);
     ("E12", e12);
-    ("A1", matrix_experiment "matrix_a1.txt");
+    ("A1", matrix_experiment [ "matrix_a1.txt" ]);
     ("A2", a2);
     ("A3", a3);
     ("A4", a4);
@@ -1914,8 +1552,10 @@ let all_experiments =
     ("A9", a9);
     ("A10", a10);
     ("A11", a11);
-    ("A12", a12);
-    ("A13", a13);
+    ( "A12",
+      matrix_experiment ~quick_twin:"matrix_ci_a12.txt" [ "matrix_a12.txt" ] );
+    ( "A13",
+      matrix_experiment ~quick_twin:"matrix_ci_a13.txt" [ "matrix_a13.txt" ] );
     ("MICRO", micro);
   ]
 

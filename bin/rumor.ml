@@ -137,6 +137,11 @@ let graph_in_arg =
               of sampling one.")
 
 let generate seed n d topology out =
+  (match Rumor_cli.Scenario.check_topology ~topology ~n ~d with
+  | Ok () -> ()
+  | Error msg ->
+      Printf.eprintf "rumor generate: %s\n" msg;
+      exit 2);
   let rng = Rng.create seed in
   let g = Rumor_cli.Scenario.make_graph ~rng ~topology ~n ~d in
   (match out with

@@ -710,7 +710,7 @@ let parse_file path =
           let len = in_channel_length ic in
           parse (really_input_string ic len))
 
-(* --- quick-mode patching (bench wrappers) --- *)
+(* --- quick-mode patching (bench harness) --- *)
 
 let set_base spec ~key ~value =
   match spec.mode with
@@ -730,30 +730,6 @@ let set_base spec ~key ~value =
       | Ok base -> Ok { spec with base }
       | Error e -> Error e
     end
-
-let override_axis spec ~key ~values =
-  let rec go acc = function
-    | [] -> Error (Printf.sprintf "no sweep axis '%s'" key)
-    | ax :: rest when ax.axis_key = key ->
-        if values = [] then Error "empty axis override"
-        else if
-          ax.zips <> []
-          && List.exists
-               (fun (_, zvs) -> List.length zvs <> List.length values)
-               ax.zips
-        then
-          Error
-            (Printf.sprintf
-               "axis '%s' carries zipped keys of length %d; override with \
-                the same length"
-               key
-               (List.length ax.values))
-        else Ok (List.rev_append acc ({ ax with values } :: rest))
-    | ax :: rest -> go (ax :: acc) rest
-  in
-  match go [] spec.axes with
-  | Error e -> Error e
-  | Ok axes -> Ok { spec with axes }
 
 (* --- execution --- *)
 

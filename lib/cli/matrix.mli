@@ -119,16 +119,9 @@ val cells : spec -> (cell array, string) result
 
 val set_base : spec -> key:string -> value:string -> (spec, string) result
 (** Override one base key (scenario or, in service mode, load key) —
-    how bench wrappers patch committed matrix files for [--quick] mode
-    without a second file. *)
-
-val override_axis :
-  spec -> key:string -> values:string list -> (spec, string) result
-(** Replace the values of the axis sweeping [key]. Zipped axes must
-    keep their length. Offset-mode cell seeds follow the new indices —
-    overriding a prefix of an axis preserves per-cell seeds, which is
-    what keeps [--quick] bench runs on the same streams as the full
-    grid's first cells. *)
+    how the bench harness shrinks a committed matrix file with no quick
+    twin for [--quick] and applies [--reps]. Axis values and per-cell
+    seeds are untouched. *)
 
 type cell_outcome = {
   cell : cell;
@@ -139,8 +132,7 @@ type cell_outcome = {
   gate_results : (gate * float * bool) list;
       (** gate, observed value (nan if the metric is absent), pass *)
   results : Rumor_sim.Engine.result list;
-      (** raw per-repetition results (kernel mode) — what bench
-          wrappers rebuild their historical tables from *)
+      (** raw per-repetition results (kernel mode) *)
 }
 
 type run_result = {

@@ -297,6 +297,25 @@ let to_text t =
   sk "packed" (string_of_bool t.packed);
   Buffer.contents b
 
+(* Whether the generator behind a materialised topology can build
+   (n, d). A pairing with d <= 2 is a union of paths and cycles, almost
+   never connected at scale, so [regular] needs 3 <= d < n with n * d
+   even; [product-k5] needs the same of its base graph; [gnp]'s edge
+   probability d / (n - 1) must be at most 1. *)
+let check_topology ~topology ~n ~d =
+  let pairing ~n ~d = d >= 3 && Rumor_gen.Regular.feasible ~n ~d in
+  let refuse need =
+    Error
+      (Printf.sprintf "topology %s needs %s (got n = %d, d = %d)" topology
+         need n d)
+  in
+  match topology with
+  | "regular" when not (pairing ~n ~d) -> refuse "3 <= d < n with n * d even"
+  | "product-k5" when not (pairing ~n:(max 4 (n / 5)) ~d:(d - 4)) ->
+      refuse "3 <= d - 4 < max 4 (n / 5) with max 4 (n / 5) * (d - 4) even"
+  | "gnp" when d > n - 1 -> refuse "d <= n - 1"
+  | _ -> Ok ()
+
 (* Cross-key checks that only make sense once the whole file is read. *)
 let validate acc : (t, string) result =
   if acc.burst_loss > acc.burst_len /. (acc.burst_len +. 1.) then
@@ -341,7 +360,10 @@ let validate acc : (t, string) result =
           implicit-regular, implicit-hypercube or implicit-chords for runs \
           at this scale"
          acc.n materialise_cap)
-  else Ok acc
+  else
+    Result.map
+      (fun () -> acc)
+      (check_topology ~topology:acc.topology ~n:acc.n ~d:acc.d)
 
 (* Scenario files are plain text but not always written on the host
    that runs them: a trailing '\r' (CRLF files) and trailing blanks on

@@ -157,11 +157,18 @@ val to_text : t -> string
     written only when set (non-negative). This is the one writer of
     the key list; chaos repro artifacts embed it. *)
 
+val check_topology : topology:string -> n:int -> d:int -> (unit, string) result
+(** Whether the generator behind a materialised topology can build
+    [(n, d)]: [regular] needs [3 <= d < n] with [n * d] even,
+    [product-k5] the same of its base graph ([max 4 (n / 5)] nodes,
+    degree [d - 4]), and [gnp] needs [d <= n - 1]. Other topologies
+    always pass. The error names the topology, [n] and [d]. *)
+
 val validate : t -> (t, string) result
 (** Cross-key checks run after the whole file is read: burst
     realisability, partition window ordering, churn vs implicit
-    topologies, churn-model exclusivity, matching parity, and the
-    materialised-size cap. *)
+    topologies, churn-model exclusivity, matching parity, the
+    materialised-size cap, and {!check_topology}. *)
 
 val parse : string -> (t, string) result
 (** Parse scenario text over {!default}: {!set_key} per line with

@@ -58,7 +58,8 @@ let default_spec =
    [n] ceiling keeps a single session's memory bounded (the service
    caches topologies, and materialised graphs at 2^20 are ~tens of MB);
    protocol/topology names are whitelisted rather than discovered by
-   letting the factories raise. *)
+   letting the factories raise, and a materialised (n, d) its generator
+   cannot build is refused here rather than failing every attempt. *)
 
 let protocols = [ "bef"; "bef-seq"; "push"; "pull"; "push-pull"; "quasirandom" ]
 
@@ -106,7 +107,10 @@ let validate_spec s =
     match s.deadline_ms with
     | Some ms when (not (Float.is_finite ms)) || ms < 1. || ms > 600_000. ->
         err "deadline_ms must be in [1, 600000]"
-    | _ -> Ok s
+    | _ ->
+        Result.map
+          (fun () -> s)
+          (Scenario.check_topology ~topology:s.topology ~n:s.n ~d:s.d)
 
 type outcome =
   | Completed

@@ -48,7 +48,9 @@ val max_implicit_n : int
     node, so the cap is the simulation frontier, not the cache. *)
 
 val validate_spec : spec -> (spec, string) result
-(** Range-check every field (the wire is hostile input). *)
+(** Range-check every field (the wire is hostile input), and refuse a
+    materialised [(n, d)] its generator cannot build
+    ({!Rumor_cli.Scenario.check_topology}). *)
 
 type outcome = Completed | Failed of string | Shed | Cancelled
 

@@ -41,48 +41,15 @@ let replicate ~seed ~reps f =
    heaps start to crowd small machines. *)
 let default_domains () = max 1 (min 8 (Domain.recommended_domain_count ()))
 
-let replicate_parallel ?domains ~seed ~reps f =
-  if reps < 1 then invalid_arg "Experiment.replicate: reps < 1";
-  let domains =
-    match domains with
-    | Some d when d >= 1 -> min d reps
-    | Some _ -> invalid_arg "Experiment.replicate_parallel: domains < 1"
-    | None -> min (default_domains ()) reps
-  in
-  if domains = 1 then replicate ~seed ~reps f
-  else begin
-    let base = Rng.create seed in
-    (* Fork all streams up front so repetition i sees exactly the same
-       randomness as in the sequential version. *)
-    let rngs = Array.init reps (fun i -> Rng.fork base i) in
-    let out = Array.make reps None in
-    let worker k () =
-      let i = ref k in
-      while !i < reps && not (interrupted ()) do
-        (* Indices are partitioned round-robin: each slot is written by
-           exactly one domain and read only after the join. *)
-        out.(!i) <- Some (f rngs.(!i));
-        i := !i + domains
-      done
-    in
-    let spawned = List.init domains (fun k -> Domain.spawn (worker k)) in
-    List.iter Domain.join spawned;
-    (* Without interruption every slot is filled; under interruption the
-       completed subset is returned in repetition order (each completed
-       repetition is bit-identical to its uninterrupted counterpart,
-       because the streams were pre-forked). *)
-    Array.to_list out |> List.filter_map Fun.id
-  end
-
 (* --- shared-pool task execution ---
 
    The matrix runner executes a whole grid of cells under ONE domain
    pool: flattening every (task, rep) pair into a single work list
    keeps all domains busy across cell boundaries, instead of paying a
    spawn/join barrier (and idle tail) per cell. Streams are pre-forked
-   per (task, rep) exactly as [replicate_parallel] forks them per rep,
-   so each task's results are bit-identical to running that task alone
-   through [replicate ~seed:task.seed ~reps:task.reps]. *)
+   per (task, rep) exactly as [replicate] forks them per rep, so each
+   task's results are bit-identical to running that task alone through
+   [replicate ~seed:task.seed ~reps:task.reps]. *)
 
 type task = { seed : int; reps : int }
 
@@ -147,6 +114,16 @@ let run_tasks ?domains tasks f =
     List.iter Domain.join spawned;
     out
   end
+
+(* One task on the shared pool. Under interruption the completed
+   subset comes back in repetition order. *)
+let replicate_parallel ?domains ~seed ~reps f =
+  if reps < 1 then invalid_arg "Experiment.replicate: reps < 1";
+  (match domains with
+  | Some d when d < 1 -> invalid_arg "Experiment.replicate_parallel: domains < 1"
+  | _ -> ());
+  let out = run_tasks ?domains [| { seed; reps } |] (fun ~task:_ ~rep:_ -> f) in
+  List.filter_map Fun.id (Array.to_list out.(0))
 
 let summarize ~seed ~reps f = Summary.of_list (replicate ~seed ~reps f)
 

@@ -47,14 +47,13 @@ val default_domains : unit -> int
 val replicate_parallel :
   ?domains:int -> seed:int -> reps:int -> (Rumor_rng.Rng.t -> 'a) -> 'a list
 (** Same results as {!replicate} (bit-for-bit: repetition [i] always
-    gets stream [fork seed i], pre-forked before any domain starts, so
-    results cannot depend on scheduling), computed on up to [domains]
-    (default {!default_domains}) OCaml domains. This is the default
-    replication path of the bench harness and the sweep-style
-    subcommands; pass [~domains:1] to force the sequential code path.
-    [f] must not share mutable state across calls. Under interruption
-    the completed subset is returned and every domain is joined before
-    the call returns — no orphans.
+    gets stream [fork seed i]), computed as a single {!run_tasks} task
+    on up to [domains] (default {!default_domains}) OCaml domains. This
+    is the default replication path of the bench harness and the
+    sweep-style subcommands. [f] must not share mutable state across
+    calls. Under interruption the completed subset is returned in
+    repetition order and every domain is joined before the call
+    returns — no orphans.
     @raise Invalid_argument if [reps < 1] or [domains < 1]. *)
 
 type task = { seed : int; reps : int }
@@ -72,8 +71,8 @@ val run_tasks :
     so a grid of many small cells keeps all domains busy. Repetition
     [r] of task [t] runs on stream [fork tasks.(t).seed r], pre-forked
     before any domain starts; each task's results are therefore
-    bit-identical to running that task alone through {!replicate} or
-    {!replicate_parallel} with the same seed. Returns one array per
+    bit-identical to running that task alone through {!replicate} with
+    the same seed. Returns one array per
     task, [Some] for completed repetitions; under interruption (see
     above) unstarted slots stay [None] and every domain is joined
     before the call returns. Work is dispatched in task-major order,

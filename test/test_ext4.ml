@@ -217,7 +217,14 @@ let test_scenario_parse_errors () =
   expect_error "crash_round = 0" "crash_round must be";
   expect_error "n_error = 0" "n_error must be";
   (* ...and their joint realisability. *)
-  expect_error "burst_loss = 0.9\nburst_len = 2" "unrealisable"
+  expect_error "burst_loss = 0.9\nburst_len = 2" "unrealisable";
+  (* Materialised (n, d) the generators cannot build. *)
+  expect_error "n = 4\nd = 8" "topology regular needs 3 <= d < n";
+  expect_error "n = 9\nd = 3" "topology regular needs";
+  expect_error "n = 1000\nd = 2" "topology regular needs";
+  expect_error "topology = gnp\nn = 4\nd = 8" "topology gnp needs d <= n - 1";
+  expect_error "topology = product-k5\nn = 1000\nd = 5"
+    "topology product-k5 needs"
 
 let test_scenario_run () =
   let scenario =

@@ -157,6 +157,7 @@ let spec_of_lengths lengths =
         List.init len (fun j ->
             match key with
             | "n" -> string_of_int (64 + (64 * j))
+            | "d" -> string_of_int (3 + j)
             | _ -> string_of_int (1 + j))
       in
       Buffer.add_string buf
@@ -233,27 +234,7 @@ let test_patching () =
   (match Matrix.set_base s ~key:"bogus" ~value:"1" with
   | Ok _ -> Alcotest.fail "bogus key accepted"
   | Error _ -> ());
-  let s'' =
-    match Matrix.override_axis s' ~key:"n" ~values:[ "64"; "128" ] with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "override_axis: %s" e
-  in
-  Alcotest.(check int) "axis shrunk" 2 (Matrix.cell_count s'');
-  (match Matrix.override_axis s' ~key:"d" ~values:[ "4" ] with
-  | Ok _ -> Alcotest.fail "missing axis accepted"
-  | Error _ -> ());
-  (* offset-mode quick prefix keeps the same cell seeds *)
-  let full = spec_exn "seed = 100\nsweep n = 64, 128, 256 seed+=1\n" in
-  let quick =
-    match Matrix.override_axis full ~key:"n" ~values:[ "64"; "128" ] with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "override_axis: %s" e
-  in
-  let fs = cells_exn full and qs = cells_exn quick in
-  Alcotest.(check int) "prefix seed 0" fs.(0).Matrix.cell_seed
-    qs.(0).Matrix.cell_seed;
-  Alcotest.(check int) "prefix seed 1" fs.(1).Matrix.cell_seed
-    qs.(1).Matrix.cell_seed
+  Alcotest.(check int) "axis untouched" 3 (Matrix.cell_count s')
 
 (* --- gates -------------------------------------------------------- *)
 
@@ -483,6 +464,42 @@ let test_committed_grid_seeds () =
       ("matrix_crash.txt", List.init 5 (fun i -> 101 + i));
     ]
 
+(* The bench runs these committed quick twins in place of the full
+   files under --quick. A twin may shrink n and reps and carry its own
+   gates; everything else (the other base keys, every axis key, its
+   seed stride and zips, and the values of axes other than n) must
+   match, or --quick silently measures a different experiment. *)
+let test_quick_twins_match () =
+  let load file =
+    match Matrix.parse_file (Filename.concat "../scenarios" file) with
+    | Ok spec -> spec
+    | Error e -> Alcotest.failf "%s: %s" file e
+  in
+  List.iter
+    (fun (twin_file, full_file) ->
+      let twin = load twin_file and full = load full_file in
+      let what field = Printf.sprintf "%s vs %s: %s" twin_file full_file field in
+      let base (s : Matrix.spec) =
+        Scenario.to_text { s.Matrix.base with Scenario.n = 0; reps = 0 }
+      in
+      Alcotest.(check string) (what "base keys") (base full) (base twin);
+      Alcotest.(check bool) (what "mode") true (twin.Matrix.mode = full.Matrix.mode);
+      Alcotest.(check bool) (what "seed mode") full.Matrix.offset_seeds
+        twin.Matrix.offset_seeds;
+      let axis (a : Matrix.axis) =
+        ( a.Matrix.axis_key,
+          (if a.Matrix.axis_key = "n" then [] else a.Matrix.values),
+          a.Matrix.stride,
+          a.Matrix.zips )
+      in
+      Alcotest.(check bool) (what "axes") true
+        (List.map axis twin.Matrix.axes = List.map axis full.Matrix.axes))
+    [
+      ("matrix_ci.txt", "matrix_e1.txt");
+      ("matrix_ci_a12.txt", "matrix_a12.txt");
+      ("matrix_ci_a13.txt", "matrix_a13.txt");
+    ]
+
 (* --- bench document validation and diffing ------------------------ *)
 
 let doc ?(schema = "rumor-bench/1") ?(truncated = false) experiments =
@@ -682,6 +699,7 @@ let () =
             test_all_crashed_tx_per_node;
           Alcotest.test_case "committed grid seeds" `Quick
             test_committed_grid_seeds;
+          Alcotest.test_case "quick twins match" `Quick test_quick_twins_match;
         ] );
       ( "benchdoc",
         [

@@ -197,6 +197,15 @@ let test_validate_spec () =
   bad "loss > 0.9" { quick_spec with Session.link_loss = 0.95 };
   bad "negative loss" { quick_spec with Session.link_loss = -0.1 };
   bad "deadline 0" { quick_spec with Session.deadline_ms = Some 0. };
+  (* materialised (n, d) the generators cannot build *)
+  let topo topology n d = { quick_spec with Session.topology; n; d } in
+  bad "regular d >= n" (topo "regular" 4 8);
+  bad "regular odd degree sum" (topo "regular" 9 3);
+  bad "regular d <= 2" (topo "regular" 1000 2);
+  bad "gnp d > n - 1" (topo "gnp" 4 8);
+  bad "product-k5 base degree d - 4 < 3" (topo "product-k5" 1000 5);
+  ok (topo "regular" 256 8);
+  ok (topo "product-k5" 1000 8);
   List.iter
     (fun protocol -> ok { quick_spec with Session.protocol })
     Session.protocols
@@ -251,6 +260,8 @@ let test_wire_hostile_input () =
   rejects "bad id shape" {|{"op":"poll","id":"42"}|};
   rejects "negative id" {|{"op":"poll","id":"s--3"}|};
   rejects "out-of-range spec" {|{"op":"submit","n":3}|};
+  rejects "unbuildable topology"
+    {|{"op":"submit","topology":"regular","n":4,"d":8}|};
   rejects "deep nesting capped"
     (String.concat "" (List.init 64 (fun _ -> "[")));
   (* id codec round trip *)
@@ -407,11 +418,18 @@ let test_service_overload_rejects () =
 
 let test_service_invalid_spec_rejected () =
   with_service (fun svc ->
-      match Service.submit svc { quick_spec with Session.n = 3 } with
-      | Service.Rejected { retry_after_ms; _ } ->
-          Alcotest.(check (float 1e-9)) "permanent: no retry hint" 0.
-            retry_after_ms
-      | Service.Accepted _ -> Alcotest.fail "invalid spec accepted")
+      List.iter
+        (fun spec ->
+          match Service.submit svc spec with
+          | Service.Rejected { retry_after_ms; _ } ->
+              Alcotest.(check (float 1e-9)) "permanent: no retry hint" 0.
+                retry_after_ms
+          | Service.Accepted _ -> Alcotest.fail "invalid spec accepted")
+        [
+          { quick_spec with Session.n = 3 };
+          (* would raise inside every attempt until the retry budget ran out *)
+          { quick_spec with Session.topology = "regular"; n = 4; d = 8 };
+        ])
 
 let test_service_cancel () =
   let config =
