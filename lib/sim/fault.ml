@@ -117,46 +117,35 @@ let delivery_ok ?dir t rng =
 type runtime = {
   plan : t;
   capacity : int;
-  bad : bool array;  (* Gilbert–Elliott state per node; [||] when unused *)
-  down : bool array;  (* crashed node ids; [||] when unused *)
+  bad : Bitset.t;  (* Gilbert–Elliott state per node; empty when unused *)
+  down : Bitset.t;  (* crashed node ids; empty when unused *)
   ge_enter : float;  (* good -> bad transition probability *)
   ge_leave : float;  (* bad -> good transition probability *)
-  side : bool array;  (* partition side per node; [||] when unused *)
+  side : Bitset.t;  (* partition side per node; empty when unused *)
   mutable cut_active : bool;  (* a partition window is currently open *)
 }
 
 let start plan ~capacity =
   if capacity < 0 then invalid_arg "Fault.start: capacity < 0";
-  let bad =
-    match plan.burst with
-    | Some _ -> Array.make capacity false
-    | None -> [||]
-  in
-  let down =
-    if has_node_faults plan then Array.make capacity false else [||]
-  in
+  let sized used = Bitset.create (if used then capacity else 0) in
+  let bad = sized (plan.burst <> None) in
+  let down = sized (has_node_faults plan) in
   let ge_enter, ge_leave =
     match plan.burst with
     | Some b -> (b.loss /. ((1. -. b.loss) *. b.burst_len), 1. /. b.burst_len)
     | None -> (0., 0.)
   in
-  let side =
-    match plan.partition with
-    | Some _ -> Array.make capacity false
-    | None -> [||]
-  in
+  let side = sized (plan.partition <> None) in
   { plan; capacity; bad; down; ge_enter; ge_leave; side; cut_active = false }
 
-let active rt v = Array.length rt.down = 0 || not rt.down.(v)
-let bursting rt v = Array.length rt.bad > 0 && rt.bad.(v)
+let active rt v = Bitset.length rt.down = 0 || not (Bitset.get rt.down v)
+let bursting rt v = Bitset.length rt.bad > 0 && Bitset.get rt.bad v
 let may_recover rt = rt.plan.recover_rate > 0.
-
-let down_count rt =
-  Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 rt.down
+let down_count rt = Bitset.cardinal rt.down
 
 let apply_strike ?on_crash rt ~rng ~degree ~alive ~informed s =
   let eligible v =
-    alive v && not rt.down.(v)
+    alive v && not (Bitset.get rt.down v)
     && match s.adversary with Frontier -> informed v | _ -> true
   in
   let cands = ref [] in
@@ -175,32 +164,33 @@ let apply_strike ?on_crash rt ~rng ~degree ~alive ~informed s =
         arr
   | Random_nodes | Frontier -> Rng.shuffle_prefix rng arr k);
   for i = 0 to k - 1 do
-    rt.down.(arr.(i)) <- true;
+    Bitset.set rt.down arr.(i);
     match on_crash with Some f -> f arr.(i) | None -> ()
   done
 
 let begin_round ?on_recover ?on_crash rt ~rng ~round ~degree ~alive ~informed =
-  if Array.length rt.bad > 0 then
+  if Bitset.length rt.bad > 0 then
     for v = 0 to rt.capacity - 1 do
-      if rt.bad.(v) then begin
-        if Rng.bernoulli rng rt.ge_leave then rt.bad.(v) <- false
+      if Bitset.get rt.bad v then begin
+        if Rng.bernoulli rng rt.ge_leave then Bitset.clear rt.bad v
       end
-      else if Rng.bernoulli rng rt.ge_enter then rt.bad.(v) <- true
+      else if Rng.bernoulli rng rt.ge_enter then Bitset.set rt.bad v
     done;
-  if Array.length rt.down > 0 then begin
+  if Bitset.length rt.down > 0 then begin
     if rt.plan.recover_rate > 0. then
       for v = 0 to rt.capacity - 1 do
-        if rt.down.(v) && Rng.bernoulli rng rt.plan.recover_rate then begin
-          rt.down.(v) <- false;
+        if Bitset.get rt.down v && Rng.bernoulli rng rt.plan.recover_rate
+        then begin
+          Bitset.clear rt.down v;
           match on_recover with Some f -> f v | None -> ()
         end
       done;
     if rt.plan.crash_rate > 0. then
       for v = 0 to rt.capacity - 1 do
-        if alive v && (not rt.down.(v))
+        if alive v && (not (Bitset.get rt.down v))
            && Rng.bernoulli rng rt.plan.crash_rate
         then begin
-          rt.down.(v) <- true;
+          Bitset.set rt.down v;
           match on_crash with Some f -> f v | None -> ()
         end
       done;
@@ -215,7 +205,7 @@ let begin_round ?on_recover ?on_crash rt ~rng ~round ~degree ~alive ~informed =
         (* Sample every node's side, dead or alive, so the draw count is
            a function of capacity alone (randomness-order contract). *)
         for v = 0 to rt.capacity - 1 do
-          rt.side.(v) <- Rng.bernoulli rng p.cut_fraction
+          Bitset.assign rt.side v (Rng.bernoulli rng p.cut_fraction)
         done;
         rt.cut_active <- true
       end
@@ -223,14 +213,14 @@ let begin_round ?on_recover ?on_crash rt ~rng ~round ~degree ~alive ~informed =
   | None -> ()
 
 let same_side rt u v =
-  (not rt.cut_active) || rt.side.(u) = rt.side.(v)
+  (not rt.cut_active) || Bitset.get rt.side u = Bitset.get rt.side v
 
 let partition_active rt = rt.cut_active
 
 let open_ok rt rng = channel_ok rt.plan rng
 
 let transmit_ok rt rng ~dir_loss ~sender =
-  (Array.length rt.bad = 0 || not rt.bad.(sender))
+  (Bitset.length rt.bad = 0 || not (Bitset.get rt.bad sender))
   && (rt.plan.link_loss = 0. || not (Rng.bernoulli rng rt.plan.link_loss))
   && (dir_loss = 0. || not (Rng.bernoulli rng dir_loss))
 

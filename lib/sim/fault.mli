@@ -146,7 +146,9 @@ val delivery_ok : ?dir:[ `Push | `Pull ] -> t -> Rumor_rng.Rng.t -> bool
 
     The engine instantiates one {!runtime} per run and ticks it at the
     start of every round; the runtime owns the Gilbert–Elliott chain
-    states and the crashed-node set. *)
+    states, the crashed-node set and the partition sides, each a
+    {!Bitset.t} of one bit per node (only for the modes the plan
+    uses). *)
 
 type runtime
 

@@ -115,6 +115,10 @@ type tstate = {
   mutable injected : bool;
 }
 
+(* Bit [v] of a byte buffer, little-endian within each byte. *)
+let bit buf v =
+  Char.code (Bytes.unsafe_get buf (v lsr 3)) land (1 lsl (v land 7)) <> 0
+
 let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     ?(stop_when_complete = false) ?gate ?(forget_on_recover = false) ?reset
     ?on_round_end ?skew ?monitor ?(packed = true) ~rng ~topology ~protocol
@@ -250,13 +254,22 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     if Bitset.get tb.informed v || Bitset.get tb.pending v then record_dup tb s
     else mark tb v
   in
+  (* Plain loops, not local recursive closures: the gate calls
+     [informed_all] once per initiator, and a closure over [v] would be
+     allocated on every call. *)
   let informed_any v =
-    let rec go j = j < nt && (Bitset.get tbs.(j).informed v || go (j + 1)) in
-    go 0
+    let j = ref 0 in
+    while !j < nt && not (Bitset.get tbs.(!j).informed v) do
+      incr j
+    done;
+    !j < nt
   in
   let informed_all v =
-    let rec go j = j >= nt || (Bitset.get tbs.(j).informed v && go (j + 1)) in
-    go 0
+    let j = ref 0 in
+    while !j < nt && Bitset.get tbs.(!j).informed v do
+      incr j
+    done;
+    !j = nt
   in
   let on_crash =
     if census_incremental then
@@ -326,22 +339,41 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     if Cells.get tb.stamp v <> !cur_round then decide_at tb v;
     Bitset.get tb.dec_pull v
   in
-  (* The fault-free delivery loop (contract in kernel.mli). When every
-     id is alive and stays up, no partition can open and opening a
-     channel draws nothing, the round needs no liveness, fault or
-     partition check per node or per channel, and a channel that
-     carries no rumor is pure bookkeeping: it is counted without
-     resolving its callee (a cycle-walked Feistel evaluation on the
-     implicit views). The round's pull decisions are then taken before
-     the initiator loop, which is unobservable only because packed ops
-     are rng-pure; the boxed path always takes the general loop, so it
-     stays the oracle. *)
-  let fault_free =
-    packed_on
-    && (not (Fault.has_node_faults splan))
-    && splan.Fault.partition = None
-    && splan.Fault.call_failure = 0.
-    && census_incremental && !live = cap
+  (* The packed delivery loop (contract in kernel.mli). Packed ops are
+     rng-pure, so the round's pull decisions may be taken before the
+     initiator loop and each initiator's push decisions before its
+     channels; the boxed path keeps the general loop as the oracle.
+     What can fail is fixed per run: [can_be_down] when a node may be
+     dead or crashed in some round, [chan_can_fail] when an opened slot
+     may not become a channel. Neither holds in the paper's fault-free
+     runs, which then check nothing per node or per channel. *)
+  let can_be_down =
+    (Option.is_some frt && Fault.has_node_faults splan)
+    || (not census_incremental) || !live <> cap
+  in
+  let partitioned = Option.is_some frt && splan.Fault.partition <> None in
+  let chan_can_fail =
+    can_be_down || partitioned || splan.Fault.call_failure > 0.
+  in
+  (* Liveness ([topology.alive && active]) of every id, rebuilt after
+     each fault tick, so the loop reads one bit per initiator and callee
+     instead of calling both closures. A local buffer rather than a
+     [Bitset]: its reads and whole-byte writes inline, where [Bitset]'s
+     bounds-checked calls cost ~10% of the wall time of the CI fault
+     cell ([scenarios/matrix_ci_faults.txt]). *)
+  let up =
+    Bytes.make (if packed_on && can_be_down then (cap + 7) lsr 3 else 0) '\000'
+  in
+  let rebuild_up () =
+    for b = 0 to Bytes.length up - 1 do
+      let byte = ref 0 in
+      for i = 0 to 7 do
+        let v = (b lsl 3) lor i in
+        if v < cap && topology.alive v && active v then
+          byte := !byte lor (1 lsl i)
+      done;
+      Bytes.unsafe_set up b (Char.unsafe_chr !byte)
+    done
   in
   let rec pulls_from tb v =
     v >= 0
@@ -414,8 +446,11 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     end
   in
   let any_down_informed () =
-    let rec go j = j < nt && (tbs.(j).down_informed > 0 || go (j + 1)) in
-    go 0
+    let j = ref 0 in
+    while !j < nt && tbs.(!j).down_informed <= 0 do
+      incr j
+    done;
+    !j < nt
   in
   let all_quiet_fast r =
     (* An informed crashed node may come back and resume its schedule;
@@ -492,10 +527,11 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     push_now := 0;
     pull_now := 0;
     let channels_now = ref 0 in
-    if fault_free then begin
+    if packed_on then begin
+      if can_be_down then rebuild_up ();
       let idle = not (any_pulls 0) in
       for u = 0 to cap - 1 do
-        if gate_open u then begin
+        if ((not can_be_down) || bit up u) && gate_open u then begin
           let d = topology.degree u in
           if d > 0 then begin
             let k =
@@ -508,15 +544,35 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
               pushes.(j) <- p;
               if p then any_push := true
             done;
-            channels_now := !channels_now + k;
             (* When nothing pulls this round and [u] pushes nothing,
-               every slot opens a channel that carries nothing. *)
-            if !any_push || not idle then
+               every channel it opens carries nothing. *)
+            let carries = !any_push || not idle in
+            if not chan_can_fail then begin
+              channels_now := !channels_now + k;
+              if carries then
+                for i = 0 to k - 1 do
+                  let w = topology.neighbor u scratch.(i) in
+                  for j = 0 to nt - 1 do
+                    deliver tbs.(j) u w pushes.(j)
+                  done
+                done
+            end
+            else
               for i = 0 to k - 1 do
                 let w = topology.neighbor u scratch.(i) in
-                for j = 0 to nt - 1 do
-                  deliver tbs.(j) u w pushes.(j)
-                done
+                (* As in the general loop: a dead or partitioned callee
+                   is skipped before the channel draw. *)
+                if
+                  ((not can_be_down) || bit up w)
+                  && ((not partitioned) || connected u w)
+                  && Fault.channel_ok splan rng
+                then begin
+                  incr channels_now;
+                  if carries then
+                    for j = 0 to nt - 1 do
+                      deliver tbs.(j) u w pushes.(j)
+                    done
+                end
               done
           end
         end

@@ -65,28 +65,40 @@
     nothing; a {!Stateless} plan samples exactly like a burst-free
     {!Full} runtime.
 
-    {e The fault-free loop.} On the packed path, a run takes its own
-    delivery loop when nothing in it can fail: every node id is alive
-    and no run event can change that (no [on_round_end], no crash rate
-    or strike), the plan has no partition and no call failure. Loss
-    (link, asymmetric, bursty), skew, [reset], oracle stopping and any
-    number of tables keep it, and so does a [gate]: repair epochs take
-    this loop. Per initiator it calls [gate] (when given, before
-    [topology.degree]), [topology.degree] and the selector, and takes
-    each table's push decision once. It calls no [topology.alive], no
-    {!Fault.active}, no partition check and no {!Fault.channel_ok} per
-    node or per channel: each would return [true] without drawing. A channel
-    whose caller pushes nothing, in a round in which no informed node
-    of any table answers pulls, is counted without resolving its
-    callee: [topology.neighbor] is not called for it. Such a channel
-    would have drawn nothing and carried nothing, so the draw order
-    above, the channel count and every result are those of the general
-    loop; only the calls into the topology drop (for [bef] on an
-    implicit view, [neighbor] by about 70% and [alive] to the
-    quiescence scan alone). The round's decisions are then taken
-    before the initiator loop, which packed ops allow because they are
-    rng-pure. Boxed runs ([~packed:false]) and runs that can fail take
-    the general loop, which stays the oracle.
+    {e The packed loop.} Every run with packed ops takes one delivery
+    loop; boxed runs ([~packed:false]) take the general loop, which
+    checks everything per node and per channel through closures and
+    stays the oracle. Per up initiator the packed loop calls [gate]
+    (when given, before [topology.degree]), [topology.degree] and the
+    selector, and takes each table's push decision once; the round's
+    pull decisions are taken before the initiator loop. Packed ops are
+    rng-pure, so deciding early is unobservable. What the loop checks
+    is fixed per run by what can fail:
+    - {e A node can be down} under node faults (crash rate or strike),
+      with [on_round_end] installed (churn may kill any id) or when
+      some id is dead at the start. The loop then rebuilds an [up]
+      bitset after each fault tick, one [topology.alive] and one
+      {!Fault.active} call per node, and checks initiators and callees
+      by reading one bit. Otherwise it checks nothing per node.
+    - {e A channel can fail} when a node can be down, under a
+      partition plan ({!Full} only) or with [call_failure > 0]. Each
+      selected callee is then resolved and the channel counted when the
+      callee is up, on the caller's side and {!Fault.channel_ok}
+      passes. Otherwise no per-channel check runs.
+    - {e Idle channels.} A channel whose caller pushes in no table, in
+      a round in which no informed node of any table answers pulls,
+      carries nothing: it gets no delivery. When no channel can fail it
+      is counted without resolving its callee ([topology.neighbor] is
+      not called for it: on [bef] over an implicit view, about 70%
+      fewer calls). When one can, its callee is resolved and checked
+      as above, so the channel draw is still made.
+    Each skipped check would have returned [true] without drawing, so
+    the draw order above, the channel count and every result are those
+    of the general loop. Cost per node-round: nothing extra fault-free;
+    under node faults or churn the rebuild's two calls per node and a
+    bit read per initiator and callee;
+    under a partition a side check per channel; under call failure a
+    Bernoulli draw per channel.
 
     Asynchronous runs draw: inter-activation
     exponential, activated node id, then selection and fault sampling

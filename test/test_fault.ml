@@ -337,6 +337,29 @@ let test_recovery_after_completion_needs_repair () =
     (Engine.epochs_used healed >= 1
     && Engine.epochs_used healed <= (Repair.config ~n ()).Repair.max_epochs)
 
+(* The runtime keeps its per-node state (burst chain, crashed set,
+   partition side) in one bit per node for each mode the plan uses:
+   at 10^7 nodes that is under 4 MB, where word-sized flags took 240. *)
+let test_runtime_footprint () =
+  let capacity = 100_000 in
+  let plan =
+    Fault.plan
+      ~burst:(Fault.burst ~loss:0.2 ~burst_len:4.)
+      ~crash_rate:0.01 ~recover_rate:0.1
+      ~partition:(Fault.partition ~split_at:1 ~heal_at:5 ())
+      ()
+  in
+  let rt = Fault.start plan ~capacity in
+  let rng = Rng.create 5 in
+  for round = 1 to 3 do
+    Fault.begin_round rt ~rng ~round ~degree:(fun _ -> 8)
+      ~alive:(fun _ -> true) ~informed:(fun _ -> false)
+  done;
+  let words = Obj.reachable_words (Obj.repr rt) in
+  (* Three bits per node, plus the plan and the record headers. *)
+  if words > (3 * capacity / 64) + 64 then
+    Alcotest.failf "runtime of %d nodes spans %d words" capacity words
+
 let () =
   Alcotest.run "rumor_fault"
     [
@@ -385,6 +408,8 @@ let () =
             test_recovery_restores_nodes;
           Alcotest.test_case "post-completion recovery needs repair" `Quick
             test_recovery_after_completion_needs_repair;
+          Alcotest.test_case "runtime state is one bit per node" `Quick
+            test_runtime_footprint;
         ] );
       ( "identity",
         [ Alcotest.test_case "none round-trips" `Quick test_none_roundtrip ] );

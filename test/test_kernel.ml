@@ -17,11 +17,13 @@
    - A single-message [Multi.run] under communication-only faults is
      the same simulation as [Engine.run], table for table.
 
-   The fault-free regime, where the packed kernel runs its own delivery
-   loop (no liveness or fault checks, idle channels counted without
-   resolving their callees), gets its own generator, gate included,
-   and tests that count [neighbor] and [alive] calls to show the loop
-   runs there and only there.
+   Every packed run takes one delivery loop whose checks depend on what
+   can fail. Two more generators cover its regimes: the fault-free one
+   (no liveness or fault checks, idle channels counted without
+   resolving their callees), gate included, and the node-fault one
+   (crashes, strikes, partitions, call failure sometimes off), where
+   liveness is read from a per-round bitset. Tests that count
+   [neighbor] and [alive] calls show which checks run where.
 
    Plus churn-hook smoke tests for the hook surface Multi/Async gained
    from the kernel. *)
@@ -118,7 +120,9 @@ module Ref_engine = struct
             in
             for i = 0 to k - 1 do
               let w = topology.Topology.neighbor u scratch.(i) in
-              if alive w && Fault.active rt w && Fault.channel_ok fault rng
+              if
+                alive w && Fault.active rt w && Fault.same_side rt u w
+                && Fault.channel_ok fault rng
               then begin
                 incr channels;
                 if
@@ -489,8 +493,8 @@ let multi_census_differential =
    call failure, no node faults, no partition. There the packed kernel
    counts idle channels without resolving their callees, so that path
    needs its own generator. Loss (link, asymmetric, bursty), skew,
-   oracle stopping and a gate stay optional: none of them turns the
-   fault-free loop off, and repair epochs run it behind their gate. *)
+   oracle stopping and a gate stay optional: none of them adds a check
+   to the loop, and repair epochs run it behind their gate. *)
 let fault_free_of_seed seed =
   let c = Rng.create (0xFA17 + seed) in
   let n = 2 * (6 + Rng.int c 20) in
@@ -587,10 +591,111 @@ let fault_free_differential =
       && on_topology
            (Topology.implicit_regular ~seed:(0xD1CE + seed) ~n:cfg.n ~d:cfg.d))
 
+(* ------------------------------------------------------------------ *)
+(* Node faults and partitions.                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The packed loop reads liveness from its per-round bitset whenever a
+   node can be down, and checks each channel whenever one can fail.
+   [config_of_seed] never opens a partition and always fails calls, so
+   this generator draws crash/recover, strikes of every adversary
+   (one-shot and recurring) and partition windows, with [call_failure]
+   0 half the time: then an idle callee is resolved and checked for
+   liveness and side, but no channel draw is made. *)
+let node_fault_of_seed seed =
+  let c = Rng.create (0xDEAD + seed) in
+  let n = 2 * (6 + Rng.int c 20) in
+  let d = 3 + Rng.int c 4 in
+  let crash = Rng.int c 2 = 0 in
+  let strike =
+    if Rng.int c 2 = 0 then begin
+      let adversary =
+        match Rng.int c 3 with
+        | 0 -> Fault.Random_nodes
+        | 1 -> Fault.Highest_degree
+        | _ -> Fault.Frontier
+      in
+      let at_round = 1 + Rng.int c 4 in
+      let every = Rng.int c 4 in
+      let count = 1 + Rng.int c d in
+      Some (Fault.strike ~adversary ~every ~at_round ~count ())
+    end
+    else None
+  in
+  let partition =
+    if Rng.int c 2 = 0 then begin
+      let split_at = 1 + Rng.int c 5 in
+      let heal_at = split_at + 1 + Rng.int c 6 in
+      let fraction = 0.2 +. (0.6 *. Rng.float c) in
+      Some (Fault.partition ~fraction ~split_at ~heal_at ())
+    end
+    else None
+  in
+  let call_failure = if Rng.int c 2 = 0 then 0. else 0.2 *. Rng.float c in
+  let link_loss = if Rng.int c 2 = 0 then 0. else 0.3 *. Rng.float c in
+  let burst =
+    if Rng.int c 3 = 0 then Some (Fault.burst ~loss:0.2 ~burst_len:3.)
+    else None
+  in
+  let fault =
+    Fault.plan ~call_failure ~link_loss ?burst
+      ~crash_rate:(if crash then 0.03 else 0.)
+      ~recover_rate:(if crash then 0.3 else 0.)
+      ?strike ?partition ()
+  in
+  let pchoice = Rng.int c 5 in
+  let skewed = Rng.int c 3 = 0 in
+  let stop = Rng.int c 4 = 0 in
+  let gated = Rng.int c 3 = 0 in
+  { seed; n; d; pchoice; fault; skewed; stop; gated }
+
+(* The packed run against the reference and the boxed run, and against
+   itself with a no-op [on_round_end]: the full census makes every node
+   possibly down, so the liveness bitset is rebuilt even when the plan
+   crashes nothing. *)
+let node_fault_differential =
+  QCheck.Test.make ~count:80
+    ~name:"node faults: Engine.run = reference = ~packed:false = full census"
+    QCheck.small_int
+    (fun seed ->
+      let cfg = node_fault_of_seed seed in
+      let skew = if cfg.skewed then Some (fun v -> v mod 3) else None in
+      let gate = gate_of cfg in
+      let sources = [ Rng.int (Rng.create (0x50 + seed)) cfg.n ] in
+      let on_topology topology =
+        fault_free_protocol cfg
+          {
+            check =
+              (fun protocol ->
+                let run ?on_round_end packed =
+                  Engine.run ~packed ?skew ?gate ?on_round_end ~fault:cfg.fault
+                    ~stop_when_complete:cfg.stop
+                    ~rng:(Rng.create (0xF00D + seed))
+                    ~topology ~protocol ~sources ()
+                in
+                let reference =
+                  Ref_engine.run ?skew ?gate ~fault:cfg.fault
+                    ~stop_when_complete:cfg.stop
+                    ~rng:(Rng.create (0xF00D + seed))
+                    ~topology ~protocol ~sources ()
+                in
+                let packed = run true in
+                same_engine_ref packed reference
+                && same_engine_engine packed (run false)
+                && same_engine_engine packed
+                     (run ~on_round_end:(fun _ -> ()) true));
+          }
+      in
+      on_topology (Topology.of_graph (graph_of cfg))
+      && on_topology
+           (Topology.implicit_regular ~seed:(0xD1CE + seed) ~n:cfg.n ~d:cfg.d))
+
 (* The skip must actually fire where it is meant to, and only there: a
    wrong enabling condition would pass every differential above, which
    compare results, not work. [neighbor] calls are counted through a
-   wrapped view. *)
+   wrapped view. An idle channel is counted without its callee only
+   when nothing can fail; otherwise its callee is resolved and checked,
+   as on the boxed path. *)
 let counted topology =
   let calls = ref 0 in
   ( {
@@ -602,15 +707,15 @@ let counted topology =
     },
     calls )
 
-let test_idle_channel_skip () =
+let test_idle_callee_if_can_fail () =
   let n = 4096 and d = 8 in
   let view = Topology.implicit_regular ~seed:42 ~n ~d in
   let bef = Algorithm.make (Params.make ~alpha:1.0 ~fanout:4 ~n_estimate:n ~d ()) in
-  let run ?(fault = Fault.none) ?packed protocol =
+  let run ?(fault = Fault.none) ?on_round_end ?packed protocol =
     let topology, calls = counted view in
     let r =
-      Engine.run ?packed ~fault ~rng:(Rng.create 9) ~topology ~protocol
-        ~sources:[ 17 ] ()
+      Engine.run ?packed ?on_round_end ~fault ~rng:(Rng.create 9) ~topology
+        ~protocol ~sources:[ 17 ] ()
     in
     (r, !calls)
   in
@@ -628,26 +733,37 @@ let test_idle_channel_skip () =
   let r, calls = run (Baselines.push_pull ~fanout:1 ~horizon:40 ()) in
   Alcotest.(check int) "push-pull resolves every channel" r.Engine.channels
     calls;
+  (* When a channel can fail, every idle callee is resolved to check it,
+     exactly as the boxed path does. *)
   List.iter
-    (fun (what, fault) ->
-      let r, calls = run ~fault bef in
-      if calls < r.Engine.channels then
-        Alcotest.failf "%s: skip fired (%d neighbor calls, %d channels)" what
-          calls r.Engine.channels)
+    (fun (what, fault, on_round_end) ->
+      let r, calls = run ~fault ?on_round_end bef in
+      let boxed, boxed_calls = run ~fault ?on_round_end ~packed:false bef in
+      if calls <> boxed_calls || calls < r.Engine.channels then
+        Alcotest.failf "%s: %d neighbor calls, boxed %d, %d channels" what
+          calls boxed_calls r.Engine.channels;
+      Alcotest.(check bool) (what ^ ": packed run = boxed run") true
+        (same_engine_engine r boxed))
     [
-      ("crash_rate 0.01", Fault.plan ~crash_rate:0.01 ());
-      ("call_failure 0.01", Fault.plan ~call_failure:0.01 ());
+      ("crash_rate 0.01", Fault.plan ~crash_rate:0.01 (), None);
+      ("call_failure 0.01", Fault.plan ~call_failure:0.01 (), None);
+      ( "partition",
+        Fault.plan ~partition:(Fault.partition ~split_at:2 ~heal_at:6 ()) (),
+        None );
+      ("on_round_end", Fault.none, Some (fun _ -> ()));
     ]
 
-(* The fault-free loop takes no per-node liveness check: [alive] is
-   left to source injection and the quiescence scan, a few calls per
-   node over the whole run. Any node fault brings back the general
-   loop and its checks, one per initiator per round at least. *)
-let test_fault_free_no_alive () =
+(* [alive] is never called per channel. Without node faults the packed
+   loop calls it only for source injection and the quiescence scan, a
+   few calls per node over the whole run. Under [crash_rate] each round
+   calls it once per node in the fault tick and once in the liveness
+   rebuild: at most 2 per node-round, where a check per initiator and
+   per callee would be 1 + 4 for bef. *)
+let test_alive_tick_and_rebuild () =
   let n = 4096 and d = 8 in
   let view = Topology.implicit_regular ~seed:42 ~n ~d in
   let bef = Algorithm.make (Params.make ~alpha:1.0 ~fanout:4 ~n_estimate:n ~d ()) in
-  let run ?gate fault =
+  let run ?gate ?on_round_end fault =
     let calls = ref 0 in
     let topology =
       {
@@ -659,8 +775,8 @@ let test_fault_free_no_alive () =
       }
     in
     let r =
-      Engine.run ?gate ~fault ~rng:(Rng.create 9) ~topology ~protocol:bef
-        ~sources:[ 17 ] ()
+      Engine.run ?gate ?on_round_end ~fault ~rng:(Rng.create 9) ~topology
+        ~protocol:bef ~sources:[ 17 ] ()
     in
     (r, !calls)
   in
@@ -672,10 +788,19 @@ let test_fault_free_no_alive () =
   let _, gated = run ~gate Fault.none in
   if gated > 2 * n then
     Alcotest.failf "fault-free gated: %d alive calls" gated;
-  let r, calls = run (Fault.plan ~crash_rate:0.01 ()) in
-  if calls < n * r.Engine.rounds then
-    Alcotest.failf "crash_rate 0.01: %d alive calls over %d rounds" calls
-      r.Engine.rounds
+  (* The quiescence scan and the final down list add a pass or two
+     over the nodes. *)
+  List.iter
+    (fun (what, gate, fault, on_round_end) ->
+      let r, calls = run ?gate ?on_round_end fault in
+      if calls > (2 * n * r.Engine.rounds) + (3 * n) then
+        Alcotest.failf "%s: %d alive calls over %d rounds of %d nodes" what
+          calls r.Engine.rounds n)
+    [
+      ("crash_rate 0.01", None, Fault.plan ~crash_rate:0.01 (), None);
+      ("crash_rate 0.01 gated", Some gate, Fault.plan ~crash_rate:0.01 (), None);
+      ("on_round_end", None, Fault.none, Some (fun _ -> ()));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Churn-hook smoke tests.                                            *)
@@ -785,13 +910,14 @@ let () =
             multi_singleton_differential;
             multi_census_differential;
             fault_free_differential;
+            node_fault_differential;
           ] );
       ( "idle skip",
         [
-          Alcotest.test_case "callee resolved only when needed" `Quick
-            test_idle_channel_skip;
-          Alcotest.test_case "no liveness calls in fault-free rounds" `Quick
-            test_fault_free_no_alive;
+          Alcotest.test_case "callee resolved only if it can fail" `Quick
+            test_idle_callee_if_can_fail;
+          Alcotest.test_case "alive calls: tick and rebuild only" `Quick
+            test_alive_tick_and_rebuild;
         ] );
       ( "churn hooks",
         [
