@@ -94,15 +94,6 @@ let loss_arg =
 let trace_arg =
   Arg.(value & flag & info [ "trace" ] ~doc:"Print the per-round trace.")
 
-let no_packed_arg =
-  Arg.(
-    value & flag
-    & info [ "no-packed" ]
-        ~doc:
-          "Keep per-node protocol state in boxed OCaml arrays instead of the \
-           packed byte cells. Trajectories are bit-identical either way; the \
-           flag exists for memory A/B comparisons.")
-
 let json_arg =
   Arg.(
     value & flag
@@ -191,7 +182,7 @@ let int_flag key v = (key, string_of_int v)
 let float_flag key v = (key, Printf.sprintf "%.17g" v)
 
 let broadcast seed n d topology protocol alpha fanout loss trace graph_in json
-    trace_out no_packed =
+    trace_out =
   if graph_in <> None && Scenario.is_implicit topology then begin
     prerr_endline "rumor: --graph cannot be combined with an implicit --topology";
     exit 2
@@ -203,7 +194,6 @@ let broadcast seed n d topology protocol alpha fanout loss trace graph_in json
         ("topology", topology); ("protocol", protocol);
         float_flag "alpha" alpha; int_flag "fanout" fanout;
         float_flag "loss" loss; ("stop", "false"); ("reps", "1");
-        ("packed", string_of_bool (not no_packed));
       ]
   in
   let graph = Option.map Rumor_graph.Io.of_file graph_in in
@@ -272,7 +262,7 @@ let broadcast_cmd =
     Term.(
       const broadcast $ seed_arg $ n_arg $ d_arg $ topology_arg $ protocol_arg
       $ alpha_arg $ fanout_arg $ loss_arg $ trace_arg $ graph_in_arg $ json_arg
-      $ trace_out_arg $ no_packed_arg)
+      $ trace_out_arg)
 
 (* --- multi --- *)
 

@@ -27,27 +27,30 @@ let decide state ~round =
   | Uninformed | Removed -> Protocol.silent
 
 (* Packed codes: 0 = Uninformed, 1 = Removed, and an Active node packs
-   both counters into [2 + heard_back * stride + received] with
-   [stride = horizon + 1] (receipt rounds never exceed the horizon).
+   both counters into [2 + received * k + heard_back] (a counter
+   variant removes a node before [heard_back] reaches [k]). The receipt
+   round is the high field because it is not bounded by the horizon:
+   under clock skew the kernel runs [horizon + max skew] rounds, so an
+   unskewed node can receive after round [horizon]. The cell width fits
+   every receipt up to the horizon; a later one that does not fit
+   raises, never wraps.
    Only the counter variants are packable: the coin variants draw from
-   [rng] inside [feedback]/[receive], which the packed kernel path —
-   applying staged updates in id order, not delivery order — must never
-   do (see {!Protocol.packed_ops}). *)
+   [rng] inside [feedback]/[receive], which packed ops must never do
+   (see {!Protocol.packed_ops}). *)
 
-let encode_packed ~stride state =
+let encode_packed ~k state =
   match state with
   | Uninformed -> 0
   | Removed -> 1
-  | Active { received; heard_back } -> 2 + (heard_back * stride) + received
+  | Active { received; heard_back } -> 2 + (received * k) + heard_back
 
-let decode_packed ~stride c =
+let decode_packed ~k c =
   if c = 0 then Uninformed
   else if c = 1 then Removed
-  else Active { received = (c - 2) mod stride; heard_back = (c - 2) / stride }
+  else Active { received = (c - 2) / k; heard_back = (c - 2) mod k }
 
 let packed_counter ~k ~horizon ~p_decide ~p_feedback ~p_quiescent =
-  let stride = horizon + 1 in
-  let max_code = 1 + (k * stride) in
+  let max_code = 1 + (k * (horizon + 1)) in
   if max_code > 0xFFFFFFFF then None
   else
     let bits = Cells.bits_of_width (Cells.width_for max_code) in
@@ -58,12 +61,12 @@ let packed_counter ~k ~horizon ~p_decide ~p_feedback ~p_quiescent =
             Protocol.bits;
             p_init = (fun ~informed -> if informed then 2 else 0);
             p_decide;
-            p_receive = (fun c ~round -> if c = 0 then 2 + round else c);
+            p_receive = (fun c ~round -> if c = 0 then 2 + (round * k) else c);
             p_feedback;
             p_quiescent;
           };
-        encode = encode_packed ~stride;
-        decode = decode_packed ~stride;
+        encode = encode_packed ~k;
+        decode = decode_packed ~k;
       }
 
 (* Blind variants advance on every active round; [decide] is called
@@ -105,7 +108,6 @@ let feedback_coin ~rng ~k ?(fanout = 1) ~horizon () =
 
 let feedback_counter ~k ?(fanout = 1) ~horizon () =
   check ~k ~horizon;
-  let stride = horizon + 1 in
   make
     ~name:(Printf.sprintf "demers-feedback-counter-k%d" k)
     ~fanout ~horizon
@@ -125,8 +127,8 @@ let feedback_counter ~k ?(fanout = 1) ~horizon () =
          ~p_feedback:(fun c ~round ->
            ignore round;
            if c < 2 then c
-           else if ((c - 2) / stride) + 1 >= k then 1
-           else c + stride)
+           else if ((c - 2) mod k) + 1 >= k then 1
+           else c + 1)
          ~p_quiescent:(fun c ~round -> c < 2 || round > horizon))
 
 let blind_coin ~rng ~k ?(fanout = 1) ~horizon () =
@@ -173,13 +175,12 @@ let blind_coin ~rng ~k ?(fanout = 1) ~horizon () =
         | Uninformed | Removed -> true
         | Active { received; heard_back = lifetime } ->
             round - received > lifetime);
-    (* [receive]/[init] draw the geometric — keep the boxed path. *)
+    (* [receive]/[init] draw the geometric — keep the boxed store. *)
     packed = None;
   }
 
 let blind_counter ~k ?(fanout = 1) ~horizon () =
   check ~k ~horizon;
-  let stride = horizon + 1 in
   let proto =
     make
       ~name:(Printf.sprintf "demers-blind-counter-k%d" k)
@@ -207,9 +208,9 @@ let blind_counter ~k ?(fanout = 1) ~horizon () =
       packed_counter ~k ~horizon
         ~p_decide:(fun c ~round ->
           if c < 2 then Protocol.silent
-          else if round - ((c - 2) mod stride) <= k then Protocol.push_pull
+          else if round - ((c - 2) / k) <= k then Protocol.push_pull
           else Protocol.silent)
         ~p_feedback:Protocol.p_no_feedback
         ~p_quiescent:(fun c ~round ->
-          c < 2 || round - ((c - 2) mod stride) > k);
+          c < 2 || round - ((c - 2) / k) > k);
   }

@@ -11,10 +11,3 @@ let once ?fault ?collect_trace ?stop_when_complete ?packed ~rng ~graph ~protocol
     ~source () =
   Engine.run ?fault ?collect_trace ?stop_when_complete ?packed ~rng
     ~topology:(Topology.of_graph graph) ~protocol ~sources:[ source ] ()
-
-let repeat ?fault ?stop_when_complete ~rng ~graph ~protocol ~times () =
-  List.init times (fun i ->
-      let stream = Rng.fork rng i in
-      let source = random_source stream graph in
-      once ?fault ?stop_when_complete ~rng:stream ~graph
-        ~protocol:(protocol ()) ~source ())

@@ -16,17 +16,3 @@ val once :
   unit ->
   Rumor_sim.Engine.result
 (** Broadcast once from [source] on a static graph. *)
-
-val repeat :
-  ?fault:Rumor_sim.Fault.t ->
-  ?stop_when_complete:bool ->
-  rng:Rumor_rng.Rng.t ->
-  graph:Rumor_graph.Graph.t ->
-  protocol:(unit -> 'st Rumor_sim.Protocol.t) ->
-  times:int ->
-  unit ->
-  Rumor_sim.Engine.result list
-(** [repeat ~times ()] runs [times] independent broadcasts, each from a
-    fresh random source with a forked random stream (so runs are
-    reproducible individually). The protocol is rebuilt per run because
-    stateful selectors carry per-node memory. *)

@@ -139,9 +139,10 @@ val run :
 
     [packed] (default [true]) stores per-node protocol state in a flat
     {!Cells.t} when the protocol declares {!Protocol.packed} ops — a
-    few bytes per node instead of a boxed record — with bit-identical
-    results; [~packed:false] forces the boxed representation (see the
-    packed-state section on {!Kernel}).
+    few bytes per node instead of a boxed record; [~packed:false]
+    forces the boxed representation. Both stores run the same delivery
+    loop and apply staged updates in ascending id order, so results are
+    bit-identical (see the delivery-loop section on {!Kernel}).
     @raise Invalid_argument if [sources] is empty or contains a dead or
     out-of-range id. *)
 

@@ -27,11 +27,10 @@ type gate = informed:bool -> node:int -> round:int -> bool
 
 (* Per-node protocol state behind an index-addressed store, so the
    round loop is identical whether the state lives in an ['st array] of
-   boxed records (the general path) or in a flat [Cells.t] of int codes
-   (the packed path — a few bytes per node, which is what admits
-   n = 10^8). Closure dispatch costs one indirect call per operation,
-   the same price the boxed path already paid calling the protocol's
-   own closures. *)
+   boxed records or in a flat [Cells.t] of int codes (the packed store —
+   a few bytes per node, which is what admits n = 10^8). Closure
+   dispatch costs one indirect call per operation, the same price the
+   boxed store already paid calling the protocol's own closures. *)
 type store = {
   s_init : int -> informed:bool -> unit;
   s_decide : int -> round:int -> Protocol.decision;
@@ -76,35 +75,26 @@ let store_of ~packed (protocol : _ Protocol.t) cap =
   | None -> boxed_store protocol cap
 
 (* Per-rumor state. Every table owns its informed set, protocol state,
-   decision cache, end-of-round receipt/feedback queues and accounting;
-   the round's channel set is shared by all of them.
+   decision cache, end-of-round receipt/feedback staging and
+   accounting; the round's channel set is shared by all of them.
 
-   Two staging representations coexist:
-
-   - [ordered] (boxed protocols): pending receipts and feedback targets
-     are queued in capacity-sized id arrays and applied in delivery
-     order — protocols whose [receive]/[feedback] draw randomness
-     (Demers coin variants) observe that order, so it is part of the
-     pinned randomness contract.
-   - packed protocols are rng-pure by contract, so delivery order is
-     unobservable; the ids live only in the [pending]/[dup_mark]
-     bitsets and are applied by an ascending word-parallel scan. No
-     capacity-sized word array is allocated per rumor. *)
+   Staged ids live only in the [pending]/[dup_mark] bitsets and are
+   applied by an ascending word-parallel scan, in either store: no
+   capacity-sized word array is allocated per rumor. A protocol whose
+   [receive]/[feedback] draws randomness (the Demers coin variants)
+   therefore sees its draws assigned in id order, not delivery order. *)
 type tstate = {
   created : int;
   srcs : int list;
   informed : Bitset.t;
   store : store;
-  ordered : bool;
   dec_push : Bitset.t;
   dec_pull : Bitset.t;
   stamp : Cells.t;
   pending : Bitset.t;
-  pending_ids : int array;
   mutable pending_len : int;
   dups : Cells.t;
   dup_mark : Bitset.t;
-  dup_ids : int array;
   mutable dup_len : int;
   mutable know : int;
   mutable down_informed : int;
@@ -191,23 +181,19 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
   (* Receipt stamps hold round numbers in [1, horizon]: one byte for
      the paper's O(log n) schedules, two up to 65535 rounds. *)
   let stamp_width = Cells.width_for (max 1 horizon) in
-  let packed_on = packed && Option.is_some protocol.packed in
   let mk_table (spec : table) =
     {
       created = spec.created;
       srcs = spec.sources;
       informed = Bitset.create cap;
       store = store_of ~packed protocol cap;
-      ordered = not packed_on;
       dec_push = Bitset.create cap;
       dec_pull = Bitset.create cap;
       stamp = Cells.create stamp_width cap;
       pending = Bitset.create cap;
-      pending_ids = (if packed_on then [||] else Array.make cap 0);
       pending_len = 0;
       dups = Cells.create Cells.W16 cap;
-      dup_mark = Bitset.create (if packed_on then cap else 0);
-      dup_ids = (if packed_on then [||] else Array.make cap 0);
+      dup_mark = Bitset.create cap;
       dup_len = 0;
       know = 0;
       down_informed = 0;
@@ -235,15 +221,13 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
   let mark tb v =
     if not (Bitset.get tb.pending v) then begin
       Bitset.set tb.pending v;
-      if tb.ordered then tb.pending_ids.(tb.pending_len) <- v;
       tb.pending_len <- tb.pending_len + 1
     end
   in
   let record_dup tb v =
     let c = Cells.get tb.dups v in
     if c = 0 then begin
-      if tb.ordered then tb.dup_ids.(tb.dup_len) <- v
-      else Bitset.set tb.dup_mark v;
+      Bitset.set tb.dup_mark v;
       tb.dup_len <- tb.dup_len + 1
     end;
     Cells.set tb.dups v (c + 1)
@@ -339,14 +323,13 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     if Cells.get tb.stamp v <> !cur_round then decide_at tb v;
     Bitset.get tb.dec_pull v
   in
-  (* The packed delivery loop (contract in kernel.mli). Packed ops are
-     rng-pure, so the round's pull decisions may be taken before the
-     initiator loop and each initiator's push decisions before its
-     channels; the boxed path keeps the general loop as the oracle.
-     What can fail is fixed per run: [can_be_down] when a node may be
-     dead or crashed in some round, [chan_can_fail] when an opened slot
-     may not become a channel. Neither holds in the paper's fault-free
-     runs, which then check nothing per node or per channel. *)
+  (* The delivery loop (contract in kernel.mli). [decide] is pure, so
+     the round's pull decisions may be taken before the initiator loop
+     and each initiator's push decisions before its channels. What can
+     fail is fixed per run: [can_be_down] when a node may be dead or
+     crashed in some round, [chan_can_fail] when an opened slot may not
+     become a channel. Neither holds in the paper's fault-free runs,
+     which then check nothing per node or per channel. *)
   let can_be_down =
     (Option.is_some frt && Fault.has_node_faults splan)
     || (not census_incremental) || !live <> cap
@@ -362,7 +345,7 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
      bounds-checked calls cost ~10% of the wall time of the CI fault
      cell ([scenarios/matrix_ci_faults.txt]). *)
   let up =
-    Bytes.make (if packed_on && can_be_down then (cap + 7) lsr 3 else 0) '\000'
+    Bytes.make (if can_be_down then (cap + 7) lsr 3 else 0) '\000'
   in
   let rebuild_up () =
     for b = 0 to Bytes.length up - 1 do
@@ -394,8 +377,7 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
   (* The current round's transmission counts. *)
   let push_now = ref 0 and pull_now = ref 0 in
   (* One open channel [u -> w] of table [tb]: [u] pushes when [push]
-     holds and the push survives, then [w] answers if it pulls. Both
-     delivery loops go through here, so they draw in the same order. *)
+     holds and the push survives, then [w] answers if it pulls. *)
   let deliver tb u w push =
     if push && push_ok u then begin
       incr push_now;
@@ -527,101 +509,63 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     push_now := 0;
     pull_now := 0;
     let channels_now = ref 0 in
-    if packed_on then begin
-      if can_be_down then rebuild_up ();
-      let idle = not (any_pulls 0) in
-      for u = 0 to cap - 1 do
-        if ((not can_be_down) || bit up u) && gate_open u then begin
-          let d = topology.degree u in
-          if d > 0 then begin
-            let k =
-              Selector.select selector ~rng ~node:u ~degree:d ~out:scratch
-            in
-            let any_push = ref false in
-            for j = 0 to nt - 1 do
-              let tb = tbs.(j) in
-              let p = Bitset.get tb.informed u && push_of tb u in
-              pushes.(j) <- p;
-              if p then any_push := true
-            done;
-            (* When nothing pulls this round and [u] pushes nothing,
-               every channel it opens carries nothing. *)
-            let carries = !any_push || not idle in
-            if not chan_can_fail then begin
-              channels_now := !channels_now + k;
-              if carries then
-                for i = 0 to k - 1 do
-                  let w = topology.neighbor u scratch.(i) in
-                  for j = 0 to nt - 1 do
-                    deliver tbs.(j) u w pushes.(j)
-                  done
-                done
-            end
-            else
+    if can_be_down then rebuild_up ();
+    let idle = not (any_pulls 0) in
+    for u = 0 to cap - 1 do
+      if ((not can_be_down) || bit up u) && gate_open u then begin
+        let d = topology.degree u in
+        if d > 0 then begin
+          let k =
+            Selector.select selector ~rng ~node:u ~degree:d ~out:scratch
+          in
+          let any_push = ref false in
+          for j = 0 to nt - 1 do
+            let tb = tbs.(j) in
+            let p = Bitset.get tb.informed u && push_of tb u in
+            pushes.(j) <- p;
+            if p then any_push := true
+          done;
+          (* When nothing pulls this round and [u] pushes nothing,
+             every channel it opens carries nothing. *)
+          let carries = !any_push || not idle in
+          if not chan_can_fail then begin
+            channels_now := !channels_now + k;
+            if carries then
               for i = 0 to k - 1 do
                 let w = topology.neighbor u scratch.(i) in
-                (* As in the general loop: a dead or partitioned callee
-                   is skipped before the channel draw. *)
-                if
-                  ((not can_be_down) || bit up w)
-                  && ((not partitioned) || connected u w)
-                  && Fault.channel_ok splan rng
-                then begin
-                  incr channels_now;
-                  if carries then
-                    for j = 0 to nt - 1 do
-                      deliver tbs.(j) u w pushes.(j)
-                    done
-                end
+                for j = 0 to nt - 1 do
+                  deliver tbs.(j) u w pushes.(j)
+                done
               done
           end
-        end
-      done
-    end
-    else
-      for u = 0 to cap - 1 do
-        if topology.alive u && active u && gate_open u then begin
-          let d = topology.degree u in
-          if d > 0 then begin
-            let k =
-              Selector.select selector ~rng ~node:u ~degree:d ~out:scratch
-            in
+          else
             for i = 0 to k - 1 do
               let w = topology.neighbor u scratch.(i) in
-              (* [connected] is checked before the channel draw: a call
-                 blocked by a partition consumes no randomness, exactly
-                 like a call to a dead node. *)
+              (* A dead or partitioned callee is skipped before the
+                 channel draw, so the call consumes no randomness. *)
               if
-                topology.alive w && active w && connected u w
+                ((not can_be_down) || bit up w)
+                && ((not partitioned) || connected u w)
                 && Fault.channel_ok splan rng
               then begin
                 incr channels_now;
-                for j = 0 to nt - 1 do
-                  let tb = tbs.(j) in
-                  deliver tb u w (Bitset.get tb.informed u && push_of tb u)
-                done
+                if carries then
+                  for j = 0 to nt - 1 do
+                    deliver tbs.(j) u w pushes.(j)
+                  done
               end
             done
-          end
         end
-      done;
+      end
+    done;
     (* Newly-informed sets were deferred so a node never forwards a
-       rumor in the round it first receives it; apply them now. The
-       ordered path replays delivery order from the id queue; the
-       packed path scans the pending bitset in ascending id order
-       (packed ops are rng-pure, so the order is unobservable). *)
+       rumor in the round it first receives it; apply them now, in
+       ascending id order. *)
     let newly_total = ref 0 in
     for j = 0 to nt - 1 do
       let tb = tbs.(j) in
       let newly = tb.pending_len in
-      if tb.ordered then
-        for i = 0 to newly - 1 do
-          let v = tb.pending_ids.(i) in
-          Bitset.clear tb.pending v;
-          Bitset.set tb.informed v;
-          tb.store.s_receive v ~round:(max 0 (r - tb.created - skew_f v))
-        done
-      else if newly > 0 then begin
+      if newly > 0 then begin
         Bitset.iter_set tb.pending (fun v ->
             Bitset.set tb.informed v;
             tb.store.s_receive v ~round:(max 0 (r - tb.created - skew_f v)));
@@ -637,17 +581,7 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     done;
     for j = 0 to nt - 1 do
       let tb = tbs.(j) in
-      if tb.ordered then begin
-        for i = 0 to tb.dup_len - 1 do
-          let v = tb.dup_ids.(i) in
-          let logical = max 0 (r - tb.created - skew_f v) in
-          for _ = 1 to Cells.get tb.dups v do
-            tb.store.s_feedback v ~round:logical
-          done;
-          Cells.set tb.dups v 0
-        done
-      end
-      else if tb.dup_len > 0 then begin
+      if tb.dup_len > 0 then begin
         Bitset.iter_set tb.dup_mark (fun v ->
             let logical = max 0 (r - tb.created - skew_f v) in
             for _ = 1 to Cells.get tb.dups v do

@@ -29,26 +29,6 @@
     and applies deliveries immediately (decisions are {e not} cached —
     feedback can change a node's mind within a logical round).
 
-    {2 Packed per-node state}
-
-    A protocol that declares {!Protocol.packed} ops stores its per-node
-    state as int codes in a flat {!Cells.t} (1–4 bytes per node)
-    instead of an ['st array] of boxed records, and its end-of-round
-    receipt/feedback staging lives in bitsets instead of capacity-sized
-    id queues — together with the {!Cells}-backed decision stamps and
-    duplicate tallies this takes a table from ~9 machine words per node
-    to a few bytes per node, which is what lets the paper's Algorithms
-    1/2 run at n = 10^8. The packed path applies staged receipts and
-    feedback in ascending node id order (a word-parallel bitset scan)
-    rather than in delivery order; packed ops are rng-pure by contract
-    (see {!Protocol.packed_ops}), so results are bit-identical to the
-    boxed path — a property the differential suite checks. Pass
-    [~packed:false] to force the boxed representation (differential
-    testing, debugging). Duplicate tallies are 16-bit: more than 65535
-    redundant deliveries to one node in one round raises
-    [Invalid_argument] (explicit failure, never a silent wrap), and
-    likewise a run whose horizon exceeds [2^32 - 1] rounds.
-
     {2 Randomness-order contract}
 
     Simulation results are pinned by golden tests, so the kernel draws
@@ -65,15 +45,32 @@
     nothing; a {!Stateless} plan samples exactly like a burst-free
     {!Full} runtime.
 
-    {e The packed loop.} Every run with packed ops takes one delivery
-    loop; boxed runs ([~packed:false]) take the general loop, which
-    checks everything per node and per channel through closures and
-    stays the oracle. Per up initiator the packed loop calls [gate]
-    (when given, before [topology.degree]), [topology.degree] and the
-    selector, and takes each table's push decision once; the round's
-    pull decisions are taken before the initiator loop. Packed ops are
-    rng-pure, so deciding early is unobservable. What the loop checks
-    is fixed per run by what can fail:
+    Asynchronous runs draw: inter-activation exponential, activated
+    node id, then selection and fault sampling as above. At the end of
+    a synchronous round staged updates are applied as described next.
+
+    {2 The delivery loop}
+
+    Both per-node state stores take one delivery loop. A protocol that
+    declares {!Protocol.packed} ops stores its per-node state as int
+    codes in a flat {!Cells.t} (1–4 bytes per node) instead of an ['st
+    array] of boxed records. Together with the bitset receipt/feedback
+    staging and the {!Cells}-backed decision stamps and duplicate
+    tallies, which every run uses, this takes a table from ~9 machine
+    words per node to a few bytes per node, which is what lets the
+    paper's Algorithms 1/2 run at n = 10^8. Pass [~packed:false] to
+    force the boxed representation (differential testing, debugging);
+    results are bit-identical. Duplicate tallies are 16-bit: more than
+    65535 redundant deliveries to one node in one round raises
+    [Invalid_argument] (explicit failure, never a silent wrap), and
+    likewise a run whose horizon exceeds [2^32 - 1] rounds.
+
+    Per up initiator the loop calls [gate] (when given, before
+    [topology.degree]), [topology.degree] and the selector, and takes
+    each table's push decision once; the round's pull decisions are
+    taken before the initiator loop. [decide] is pure ({!Protocol.t}), so deciding early
+    is unobservable. What the loop checks is fixed per run by what can
+    fail:
     - {e A node can be down} under node faults (crash rate or strike),
       with [on_round_end] installed (churn may kill any id) or when
       some id is dead at the start. The loop then rebuilds an [up]
@@ -92,17 +89,20 @@
       not called for it: on [bef] over an implicit view, about 70%
       fewer calls). When one can, its callee is resolved and checked
       as above, so the channel draw is still made.
-    Each skipped check would have returned [true] without drawing, so
-    the draw order above, the channel count and every result are those
-    of the general loop. Cost per node-round: nothing extra fault-free;
-    under node faults or churn the rebuild's two calls per node and a
-    bit read per initiator and callee;
-    under a partition a side check per channel; under call failure a
-    Bernoulli draw per channel.
+    Each skipped check would return [true] without drawing, so the draw
+    order above, the channel count and every result are those of a loop
+    that checks every initiator and channel. Cost per node-round:
+    nothing extra fault-free; under node faults or churn the rebuild's
+    two calls per node and a bit read per initiator and callee; under a
+    partition a side check per channel; under call failure a Bernoulli
+    draw per channel.
 
-    Asynchronous runs draw: inter-activation
-    exponential, activated node id, then selection and fault sampling
-    as above.
+    At the end of each round every table applies its staged first
+    receipts, then its duplicate feedback, in ascending node id order
+    (a word-parallel bitset scan), whatever the delivery order was. A
+    protocol whose [receive], [feedback] or [init] draws from its own
+    rng (the Demers coin variants) therefore sees those draws assigned
+    in id order.
 
     {2 Census invariant}
 
@@ -204,8 +204,9 @@ val run :
   result
 (** Run the synchronous round loop to the stopping rule above.
     [packed] (default [true]) selects the compact {!Cells}-backed state
-    representation when the protocol declares packed ops; it has no
-    effect otherwise, and results are bit-identical either way.
+    store when the protocol declares packed ops; it has no effect
+    otherwise. Both stores run the same loop, so results are
+    bit-identical either way.
 
     [fault] defaults to [Stateless Fault.none] (both modes of an empty
     plan draw nothing and behave identically). [gate], [skew],

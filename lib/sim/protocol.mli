@@ -43,12 +43,10 @@ type packed_ops = {
     no allocation per decision.
 
     Contract: packed ops must be {e rng-pure} — they may not draw
-    randomness or carry hidden mutable state. The packed kernel path
-    applies end-of-round receipts and feedback in ascending node order
-    (a word-parallel bitset scan) rather than in delivery order, which
-    is only unobservable when the ops are pure. Protocols whose
-    [receive]/[feedback] draw (e.g. Demers coin variants) must not
-    declare packed ops. *)
+    randomness or carry hidden mutable state, because a code has no
+    room for a random stream. Protocols whose [receive]/[feedback] draw
+    (e.g. Demers coin variants) must not declare packed ops; they keep
+    the boxed store. *)
 
 type 'st packed = {
   ops : packed_ops;
@@ -67,21 +65,28 @@ type 'st t = {
   horizon : int;  (** hard cap on rounds (Monte-Carlo time bound) *)
   init : informed:bool -> 'st;  (** per-node state before round 1 *)
   decide : 'st -> round:int -> decision;
-      (** transmission decision of an {e informed} node *)
+      (** transmission decision of an {e informed} node. Must be pure
+          (no draws, no hidden state): the kernel may take it before
+          the node's channels are opened, or for a node that no channel
+          reaches, and caches it for the round *)
   receive : 'st -> round:int -> 'st;
       (** state update when the rumor is first received in [round];
-          visible to [decide] from round [round + 1] on *)
+          visible to [decide] from round [round + 1] on. Applied at the
+          end of the round, in ascending node id order, so a [receive]
+          that draws sees its draws assigned in id order *)
   feedback : 'st -> round:int -> 'st;
       (** state update on a {e transmitting} node each time one of its
           copies reached a partner that already knew the rumor — the
           "recipient says: I know" signal driving the rumor-mongering
           variants of Demers et al. [7]. Most protocols ignore it
-          ({!val:no_feedback}). Applied at the end of the round, once
-          per redundant delivery; visible to [decide] from the next
-          round. *)
+          ({!val:no_feedback}). Applied at the end of the round, after
+          every [receive], once per redundant delivery and in ascending
+          node id order; visible to [decide] from the next round. *)
   quiescent : 'st -> round:int -> bool;
       (** [true] when an informed node will never transmit at any round
-          [>= round]; lets the engine stop early *)
+          [>= round]; lets the engine stop early. Must be pure, like
+          [decide]: the kernel checks it at a cached witness first and
+          may skip the other nodes *)
   packed : 'st packed option;
       (** optional compact-state path; [None] keeps the boxed ['st
           array] representation. {b Warning:} a [{ p with decide = … }]

@@ -380,27 +380,6 @@ let test_baseline_names () =
 
 (* --- Run helpers --- *)
 
-let test_run_repeat_reproducible () =
-  let g = Classic.complete 64 in
-  let go () =
-    let rng = Rng.create 77 in
-    Run.repeat ~rng ~graph:g
-      ~protocol:(fun () -> Baselines.push ~horizon:50 ())
-      ~times:3 ()
-    |> List.map Engine.transmissions
-  in
-  Alcotest.(check (list int)) "identical reruns" (go ()) (go ())
-
-let test_run_repeat_count () =
-  let g = Classic.complete 16 in
-  let rng = Rng.create 78 in
-  let rs =
-    Run.repeat ~rng ~graph:g
-      ~protocol:(fun () -> Baselines.push ~horizon:30 ())
-      ~times:5 ()
-  in
-  Alcotest.(check int) "five results" 5 (List.length rs)
-
 let test_random_source_range () =
   let g = Classic.complete 10 in
   let rng = Rng.create 79 in
@@ -553,8 +532,6 @@ let () =
         ] );
       ( "run",
         [
-          Alcotest.test_case "repeat reproducible" `Quick test_run_repeat_reproducible;
-          Alcotest.test_case "repeat count" `Quick test_run_repeat_count;
           Alcotest.test_case "random source" `Quick test_random_source_range;
         ] );
       ("properties", qcheck_cases);
