@@ -76,6 +76,7 @@ type driver = {
   cfg : cfg;
   fd : Unix.file_descr;
   lines : Wire.Linebuf.t;
+  buf : Bytes.t;  (* the one read buffer *)
   outstanding : (string, float * pending ref) Hashtbl.t;  (* ref -> sent_at *)
   latency : Latency.t;
   mutable submitted : int;
@@ -91,8 +92,7 @@ type driver = {
 }
 
 let send d line =
-  let b = Bytes.of_string line in
-  ignore (Unix.write d.fd b 0 (Bytes.length b))
+  ignore (Unix.write_substring d.fd line 0 (String.length line))
 
 let submit_line d k =
   let spec = d.cfg.spec in
@@ -191,13 +191,12 @@ let pump d ~timeout ~now =
   match Unix.select [ d.fd ] [] [] timeout with
   | [], _, _ -> ()
   | _ :: _, _, _ -> (
-      let buf = Bytes.create 65536 in
-      match Unix.read d.fd buf 0 (Bytes.length buf) with
+      match Unix.read d.fd d.buf 0 (Bytes.length d.buf) with
       | 0 -> raise End_of_file
       | n ->
           List.iter
             (fun l -> handle_line d l ~now:(now ()))
-            (Wire.Linebuf.feed d.lines buf 0 n))
+            (Wire.Linebuf.feed d.lines d.buf 0 n))
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
 let run cfg ~fd =
@@ -206,6 +205,7 @@ let run cfg ~fd =
       cfg;
       fd;
       lines = Wire.Linebuf.create ();
+      buf = Bytes.create 65536;
       outstanding = Hashtbl.create 1024;
       latency = Latency.create ();
       submitted = 0;

@@ -3,11 +3,7 @@
    a full queue into an explicit rejection with a retry hint rather than
    an unbounded pile-up. Failover and retry re-entries use [force_put] —
    they are already-admitted work, so bouncing them would lose sessions.
-
-   OCaml's stdlib [Condition] has no timed wait; consumers blocked in
-   [take] are re-woken by [wake] (the service ticker broadcasts every few
-   milliseconds) so they can re-check external state such as a depose
-   flag. *)
+   A consumer blocked in [take] wakes only for an element or [close]. *)
 
 type 'a t = {
   capacity : int;
@@ -82,6 +78,3 @@ let close t =
   with_lock t (fun () ->
       t.closed <- true;
       Condition.broadcast t.nonempty)
-
-let wake t =
-  with_lock t (fun () -> Condition.broadcast t.nonempty)

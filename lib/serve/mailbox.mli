@@ -47,8 +47,3 @@ val take_opt : 'a t -> 'a option
 val close : 'a t -> unit
 (** Close the queue: future puts fail, blocked takers drain the
     remaining elements and then receive [None]. Idempotent. *)
-
-val wake : 'a t -> unit
-(** Broadcast to blocked takers so they re-check state — the service
-    ticker calls this periodically because stdlib [Condition] has no
-    timed wait. *)

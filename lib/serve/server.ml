@@ -1,21 +1,29 @@
 module Json = Rumor_obs.Json
 
-(* The [rumor serve] frontend: a select-based NDJSON loop over stdio or
-   a Unix socket, driving one {!Service}.
+(* The [rumor serve] frontend: an event-driven NDJSON loop over stdio
+   or a Unix socket, driving one {!Service}.
 
-   Single-threaded I/O: worker domains never touch a file descriptor.
-   Terminal notifications are queued by the service's [on_terminal]
-   callback (which runs on worker domains) and flushed by the main loop
-   each iteration, so a slow client can delay events but can never
-   block or wedge a worker — the supervisor's watchdog must not be able
-   to mistake a stalled client for a stalled computation.
+   Single-threaded I/O: worker domains never touch a client descriptor.
+   The service's [on_terminal] callback (which runs on worker domains)
+   queues the session's event and rings a [Wake] pipe that sits in the
+   loop's select set, so the loop wakes and flushes the event as soon as
+   the session ends. A slow client can delay its own events but can
+   never block or wedge a worker — the supervisor's watchdog must not
+   be able to mistake a stalled client for a stalled computation.
 
-   Shutdown: SIGTERM/SIGINT, a wire [shutdown] op, or EOF on stdin all
-   start a drain — admission closes (new submits are rejected with
-   ["draining"]), in-flight sessions finish and their events are
-   delivered, then the service shuts down and the process exits 0 if
-   everything wound down cleanly (every domain joined, no invariant
-   violation), 1 otherwise. A hard-kill timeout bounds the drain. *)
+   The loop sleeps in select with no timeout: it wakes only for client
+   input, a new connection, a terminal session or a shutdown request
+   (the signal handler rings the same pipe, since the signal may land
+   on a worker or ticker thread rather than the one blocked in select).
+
+   Shutdown: SIGTERM/SIGINT, a wire [shutdown] op, or EOF on the
+   primary connection all start a drain — admission closes (new
+   submits are rejected with ["draining"]), in-flight sessions finish
+   and their events are delivered (EOF only stops reading the primary
+   connection; it is written to until exit), then the service shuts
+   down and the process exits 0 if everything wound down cleanly
+   (every domain joined, no invariant violation), 1 otherwise. While
+   draining, select waits at most until the hard-kill deadline. *)
 
 type transport = Stdio | Unix_socket of string | Fd of Unix.file_descr
 
@@ -25,42 +33,54 @@ type conn = {
   fd_out : Unix.file_descr;
   lines : Wire.Linebuf.t;
   mutable alive : bool;
+  mutable reading : bool;  (** false once the primary connection hit EOF *)
+}
+
+(* Terminal events on their way from worker domains to the loop. *)
+type outbox = {
+  events : (int * string) Queue.t;  (* conn id, wire line *)
+  mutex : Mutex.t;
+  wake : Wake.t;
 }
 
 type state = {
   service : Service.t;
   conns : (int, conn) Hashtbl.t;
   mutable next_cid : int;
-  events : (int * string) Queue.t;  (* conn id, wire line *)
-  events_mutex : Mutex.t;
+  outbox : outbox;
   shutdown_req : bool Atomic.t;
+  buf : Bytes.t;  (* the one read buffer, shared by every connection *)
+  mutable wakeups : int;  (* select returns: the loop's iterations *)
 }
 
-let enqueue_event st (s : Session.t) =
+(* The service's [on_terminal], on a worker domain (or the ticker).
+   Every terminal session rings, notify or not: a drain waits for the
+   last one. *)
+let post_terminal ob (s : Session.t) =
   if s.Session.notify && s.Session.conn >= 0 then begin
     let line = Wire.to_line (Wire.event s) in
-    Mutex.lock st.events_mutex;
-    Queue.push (s.Session.conn, line) st.events;
-    Mutex.unlock st.events_mutex
-  end
+    Mutex.lock ob.mutex;
+    Queue.push (s.Session.conn, line) ob.events;
+    Mutex.unlock ob.mutex
+  end;
+  Wake.ring ob.wake
 
 let write_line conn line =
   if conn.alive then
     try
-      let b = Bytes.of_string line in
-      let n = Unix.write conn.fd_out b 0 (Bytes.length b) in
-      if n < Bytes.length b then conn.alive <- false
+      let len = String.length line in
+      if Unix.write_substring conn.fd_out line 0 len < len then
+        conn.alive <- false
     with Unix.Unix_error _ | Sys_error _ -> conn.alive <- false
 
 let flush_events st =
-  let pending =
-    Mutex.lock st.events_mutex;
-    let l = List.of_seq (Queue.to_seq st.events) in
-    Queue.clear st.events;
-    Mutex.unlock st.events_mutex;
-    l
-  in
-  List.iter
+  let ob = st.outbox in
+  Wake.clear ob.wake;
+  let pending = Queue.create () in
+  Mutex.lock ob.mutex;
+  Queue.transfer ob.events pending;
+  Mutex.unlock ob.mutex;
+  Queue.iter
     (fun (cid, line) ->
       match Hashtbl.find_opt st.conns cid with
       | Some conn -> write_line conn line
@@ -74,7 +94,9 @@ let handle_line st conn line =
       match Wire.parse_request line with
       | Error e -> Wire.error e
       | Ok (Wire.Ping) -> Wire.pong
-      | Ok Wire.Stats -> Wire.stats ~service:(Service.stats_json st.service)
+      | Ok Wire.Stats ->
+          Wire.stats ~service:(Service.stats_json st.service)
+            ~wakeups:st.wakeups
       | Ok Wire.Shutdown ->
           Atomic.set st.shutdown_req true;
           Wire.draining
@@ -107,20 +129,30 @@ let add_conn st ~fd_in ~fd_out =
   let cid = st.next_cid in
   st.next_cid <- cid + 1;
   let conn =
-    { cid; fd_in; fd_out; lines = Wire.Linebuf.create (); alive = true }
+    {
+      cid;
+      fd_in;
+      fd_out;
+      lines = Wire.Linebuf.create ();
+      alive = true;
+      reading = true;
+    }
   in
   Hashtbl.replace st.conns cid conn;
   conn
 
 let read_conn st conn ~stdio =
-  let buf = Bytes.create 65536 in
-  match Unix.read conn.fd_in buf 0 (Bytes.length buf) with
+  match Unix.read conn.fd_in st.buf 0 (Bytes.length st.buf) with
   | 0 ->
-      (* EOF: on stdio that is the client's drain request. *)
-      close_conn st conn;
-      if stdio then Atomic.set st.shutdown_req true
+      (* EOF: on the primary connection that is the client's drain
+         request. Its write side stays open for the drained events. *)
+      if stdio then begin
+        conn.reading <- false;
+        Atomic.set st.shutdown_req true
+      end
+      else close_conn st conn
   | n ->
-      let lines = Wire.Linebuf.feed conn.lines buf 0 n in
+      let lines = Wire.Linebuf.feed conn.lines st.buf 0 n in
       List.iter (fun l -> handle_line st conn l) lines;
       if Wire.Linebuf.overflowed conn.lines then begin
         write_line conn (Wire.to_line (Wire.error "line too long"));
@@ -135,32 +167,28 @@ let read_conn st conn ~stdio =
 let run ?(config = Service.config ()) ?(drain_timeout_s = 30.)
     ?(quiet = false) ?(signals = true) transport =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (* The service's terminal callback needs the server state, which
-     needs the service: tie the knot through a ref, written before any
-     session can possibly terminate. *)
-  let st_ref = ref None in
-  let service =
-    Service.create
-      ~on_terminal:(fun s ->
-        match !st_ref with Some st -> enqueue_event st s | None -> ())
-      config
+  let outbox =
+    { events = Queue.create (); mutex = Mutex.create (); wake = Wake.create () }
   in
   let st =
     {
-      service;
+      service = Service.create ~on_terminal:(post_terminal outbox) config;
       conns = Hashtbl.create 8;
       next_cid = 0;
-      events = Queue.create ();
-      events_mutex = Mutex.create ();
+      outbox;
       shutdown_req = Atomic.make false;
+      buf = Bytes.create 65536;
+      wakeups = 0;
     }
   in
-  st_ref := Some st;
   (* [signals = false] runs the server as a guest inside another
      process (an in-process matrix/load cell): the host owns
      SIGTERM/SIGINT — clobbering its handlers would break its own
      graceful interruption. EOF on the primary connection still drains. *)
-  let request_shutdown _ = Atomic.set st.shutdown_req true in
+  let request_shutdown _ =
+    Atomic.set st.shutdown_req true;
+    Wake.ring outbox.wake
+  in
   let old_handlers =
     if signals then
       Some
@@ -212,27 +240,37 @@ let run ?(config = Service.config ()) ?(drain_timeout_s = 30.)
     then running := false
     else begin
       let fds =
-        (match listener with Some (fd, _) -> [ fd ] | None -> [])
-        @ Hashtbl.fold (fun _ c acc -> c.fd_in :: acc) st.conns []
+        Wake.fd outbox.wake
+        :: (match listener with Some (fd, _) -> [ fd ] | None -> [])
+        @ Hashtbl.fold
+            (fun _ c acc -> if c.reading then c.fd_in :: acc else acc)
+            st.conns []
       in
-      match Unix.select fds [] [] 0.01 with
-      | readable, _, _ ->
-          List.iter
-            (fun fd ->
-              match listener with
-              | Some (lfd, _) when fd = lfd ->
-                  let cfd, _ = Unix.accept lfd in
-                  ignore (add_conn st ~fd_in:cfd ~fd_out:cfd)
-              | _ -> (
-                  match
-                    Hashtbl.fold
-                      (fun _ c acc -> if c.fd_in = fd then Some c else acc)
-                      st.conns None
-                  with
-                  | Some conn -> read_conn st conn ~stdio
-                  | None -> ()))
-            readable
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      (* No timeout while serving: every reason to wake is a readable
+         descriptor. *)
+      let timeout = if !draining then !hard_deadline -. now else -1. in
+      let readable =
+        match Unix.select fds [] [] timeout with
+        | readable, _, _ -> readable
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> []
+      in
+      st.wakeups <- st.wakeups + 1;
+      List.iter
+        (fun fd ->
+          match listener with
+          | Some (lfd, _) when fd = lfd ->
+              let cfd, _ = Unix.accept lfd in
+              ignore (add_conn st ~fd_in:cfd ~fd_out:cfd)
+          | _ -> (
+              match
+                Hashtbl.fold
+                  (fun _ c acc ->
+                    if c.reading && c.fd_in = fd then Some c else acc)
+                  st.conns None
+              with
+              | Some conn -> read_conn st conn ~stdio
+              | None -> ((* the wake pipe: the loop head flushes *))))
+        readable
     end
   done;
   (* In-flight work settled (or the hard deadline hit): wind the
@@ -242,9 +280,10 @@ let run ?(config = Service.config ()) ?(drain_timeout_s = 30.)
   let stats = Service.stats_json st.service in
   if not quiet then
     prerr_endline ("rumor-serve: final " ^ Json.to_string stats);
+  let final = Wire.to_line (Wire.stats ~service:stats ~wakeups:st.wakeups) in
   Hashtbl.iter
     (fun _ c ->
-      write_line c (Wire.to_line (Wire.stats ~service:stats));
+      write_line c final;
       if c.fd_in <> Unix.stdin then try Unix.close c.fd_in with _ -> ())
     st.conns;
   (match listener with
@@ -257,4 +296,5 @@ let run ?(config = Service.config ()) ?(drain_timeout_s = 30.)
       Sys.set_signal Sys.sigterm old_term;
       Sys.set_signal Sys.sigint old_int
   | None -> ());
+  Wake.close outbox.wake;
   if clean then 0 else 1

@@ -2,18 +2,23 @@
     caller-supplied descriptor.
 
     Single-threaded I/O on top of one {!Service}: worker domains never
-    touch a descriptor — terminal notifications are queued and flushed
-    by the select loop, so a slow or dead client can delay its own
-    events but can never wedge a worker (and thus can never trip the
-    supervisor's watchdog).
+    touch a client descriptor. A session's terminal notification is
+    queued and rings a {!Wake} pipe in the loop's select set, so the
+    loop writes it out as soon as the session ends; a slow or dead
+    client can delay its own events but can never wedge a worker (and
+    thus can never trip the supervisor's watchdog). The loop has no
+    poll interval: an idle server sleeps until input, a connection, a
+    terminal session or a shutdown signal wakes it. The [stats] reply
+    counts these wake-ups.
 
     Drain semantics: SIGTERM, SIGINT, a wire [shutdown] op, or EOF on
     the primary connection (stdin, or the [Fd] descriptor) close
     admission (further submits are rejected with ["draining"]);
-    in-flight sessions finish and deliver their events; then the
-    service winds down. [drain_timeout_s] is the hard-kill bound —
-    past it, stragglers are cancelled and force-failed so the
-    no-session-lost invariant still holds. *)
+    in-flight sessions finish and deliver their events (after EOF the
+    primary connection is still written to, and gets the final stats
+    line); then the service winds down. [drain_timeout_s] is the
+    hard-kill bound — past it, stragglers are cancelled and
+    force-failed so the no-session-lost invariant still holds. *)
 
 type transport =
   | Stdio

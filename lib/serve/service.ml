@@ -12,7 +12,13 @@ module Latency = Rumor_obs.Latency
    takes the service mutex while the pool mutex is held); nothing ever
    takes the pool mutex while holding the service mutex, so the order
    is acyclic. [on_terminal] notifications are always invoked with no
-   lock held. *)
+   lock held.
+
+   Nothing here polls on a fixed sleep. [changed] (on [t.mutex]) is
+   broadcast by every terminal transition and every tick, so
+   [shutdown]'s waits return the moment in-flight work settles and check
+   their deadlines once per tick; the ticker sleeps on a [Wake] that
+   [shutdown] rings, so stopping it does not wait out a tick. *)
 
 type config = {
   workers : int;
@@ -74,7 +80,9 @@ type t = {
   topo_mutex : Mutex.t;
   topologies : (string * int * int * int, Rumor_sim.Topology.t) Hashtbl.t;
   on_terminal : Session.t -> unit;
+  changed : Condition.t;  (** on [mutex]: a terminal transition or a tick *)
   ticker_stop : bool Atomic.t;
+  ticker_wake : Wake.t;
   mutable ticker : Thread.t option;
   mutable supervisor : Supervisor.t option;  (** Some after [create] returns *)
 }
@@ -119,7 +127,8 @@ let terminal_locked t s outcome ~notifications =
   Monitor.note_terminal t.monitor ~already_terminal:already outcome;
   if not already then begin
     Latency.add t.latency (Session.latency_s s);
-    notifications := s :: !notifications
+    notifications := s :: !notifications;
+    Condition.broadcast t.changed
   end
 
 let flush_notifications t ns =
@@ -339,6 +348,7 @@ let tick t ~now =
   | None -> ());
   let notifications = ref [] in
   with_lock t (fun () ->
+      Condition.broadcast t.changed;
       let due, waiting =
         List.partition
           (fun s ->
@@ -385,7 +395,7 @@ let tick t ~now =
 let ticker_loop t () =
   while not (Atomic.get t.ticker_stop) do
     (try tick t ~now:(Unix.gettimeofday ()) with _ -> ());
-    Thread.delay t.cfg.tick_s
+    Wake.wait t.ticker_wake ~timeout_s:t.cfg.tick_s
   done
 
 (* --- lifecycle --- *)
@@ -409,7 +419,9 @@ let create ?(on_terminal = fun _ -> ()) cfg =
       topo_mutex = Mutex.create ();
       topologies = Hashtbl.create 8;
       on_terminal;
+      changed = Condition.create ();
       ticker_stop = Atomic.make false;
+      ticker_wake = Wake.create ();
       ticker = None;
       supervisor = None;
     }
@@ -458,42 +470,39 @@ let stats_json t =
       ("draining", Json.Bool (with_lock t (fun () -> t.draining)));
     ]
 
+(* Wait under [t.mutex] until nothing is in flight or [deadline]
+   passes. *)
+let settle_locked t ~deadline =
+  let rec wait () =
+    if in_flight_locked t = 0 then true
+    else if Unix.gettimeofday () > deadline then false
+    else begin
+      Condition.wait t.changed t.mutex;
+      wait ()
+    end
+  in
+  wait ()
+
 (* Drain, wait for in-flight work, cancel stragglers, stop the pool and
    the ticker. Returns true iff everything wound down inside the
    timeout and the monitor saw no violation. *)
 let shutdown t ~timeout_s =
   drain t;
   let deadline = Unix.gettimeofday () +. timeout_s in
-  let rec settle () =
-    if in_flight t = 0 then true
-    else if Unix.gettimeofday () > deadline then false
-    else begin
-      Thread.delay 0.02;
-      settle ()
-    end
-  in
-  let settled = settle () in
+  let settled = with_lock t (fun () -> settle_locked t ~deadline) in
   if not settled then begin
     (* Cancel cooperatively, give stragglers a moment, then force-fail
        what remains so every accepted session still reaches a terminal
        state. *)
+    let grace = Unix.gettimeofday () +. Float.min 2. timeout_s in
+    let notifications = ref [] in
     with_lock t (fun () ->
         Hashtbl.iter
           (fun _ s ->
             if not (Session.is_terminal s) then
               Atomic.set s.Session.cancel true)
-          t.sessions);
-    let grace = Unix.gettimeofday () +. Float.min 2. timeout_s in
-    let rec wait_grace () =
-      if in_flight t = 0 || Unix.gettimeofday () > grace then ()
-      else begin
-        Thread.delay 0.02;
-        wait_grace ()
-      end
-    in
-    wait_grace ();
-    let notifications = ref [] in
-    with_lock t (fun () ->
+          t.sessions;
+        ignore (settle_locked t ~deadline:grace);
         Hashtbl.iter
           (fun _ s ->
             if not (Session.is_terminal s) then
@@ -508,7 +517,13 @@ let shutdown t ~timeout_s =
   Supervisor.begin_drain sup;
   Mailbox.close t.mailbox;
   let workers_clean = Supervisor.drain sup ~timeout_s:(Float.max 1. timeout_s) in
-  Atomic.set t.ticker_stop true;
-  Option.iter Thread.join t.ticker;
+  (match t.ticker with
+  | Some ticker ->
+      t.ticker <- None;
+      Atomic.set t.ticker_stop true;
+      Wake.ring t.ticker_wake;
+      Thread.join ticker;
+      Wake.close t.ticker_wake
+  | None -> ());
   ignore (Monitor.reconcile t.monitor ~in_flight:(in_flight t));
   settled && workers_clean && Monitor.ok t.monitor

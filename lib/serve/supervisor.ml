@@ -15,7 +15,9 @@
 
    The scan runs on the service's single ticker thread; all pool
    mutation happens under [mutex], so there is exactly one writer to
-   the slot table. *)
+   the slot table. [changed] (on [mutex]) is broadcast by every worker
+   exit and every scan: [drain] waits on it, so it returns the moment
+   the last worker exits and checks its deadline once per tick. *)
 
 type config = {
   workers : int;
@@ -57,6 +59,7 @@ type t = {
   mutable breaker_open : bool;
   mutable draining : bool;
   mutex : Mutex.t;
+  changed : Condition.t;
 }
 
 let worker_body t w () =
@@ -76,7 +79,10 @@ let worker_body t w () =
      [busy] still set — exactly the state the scan reads as "crashed
      mid-session". *)
   (try loop () with _ -> ());
-  Atomic.set w.exited true
+  Mutex.lock t.mutex;
+  Atomic.set w.exited true;
+  Condition.broadcast t.changed;
+  Mutex.unlock t.mutex
 
 (* callers hold t.mutex *)
 let spawn_locked t slot gen =
@@ -111,6 +117,7 @@ let create ~config:cfg ~mailbox ~handle ~on_failover ~on_restart ~on_deposed ()
       breaker_open = false;
       draining = false;
       mutex = Mutex.create ();
+      changed = Condition.create ();
     }
   in
   Mutex.lock t.mutex;
@@ -185,6 +192,7 @@ let scan t ~now =
                 restart_locked t ~now ~slot ~gen:w.gen
             | _ -> ())
     t.slots;
+  Condition.broadcast t.changed;
   Mutex.unlock t.mutex
 
 let live_workers t =
@@ -235,35 +243,29 @@ let begin_drain t =
   Mutex.unlock t.mutex
 
 (* Precondition: [begin_drain] called and the mailbox closed (workers
-   drain it and exit). *)
+   drain it and exit). Runs while the ticker still scans: the scan's
+   broadcast is what lets the wait see its deadline pass. *)
 let drain t ~timeout_s =
   begin_drain t;
   let deadline = Unix.gettimeofday () +. timeout_s in
   let all_exited () =
-    Mutex.lock t.mutex;
-    let slots_done =
-      Array.for_all
-        (function None -> true | Some w -> Atomic.get w.exited)
-        t.slots
-    and zombies_done =
-      List.for_all (fun z -> Atomic.get z.exited) t.zombies
-    in
-    Mutex.unlock t.mutex;
-    slots_done && zombies_done
+    Array.for_all
+      (function None -> true | Some w -> Atomic.get w.exited)
+      t.slots
+    && List.for_all (fun z -> Atomic.get z.exited) t.zombies
   in
+  Mutex.lock t.mutex;
   let rec wait () =
     if all_exited () then true
     else if Unix.gettimeofday () > deadline then false
     else begin
-      Mailbox.wake t.mailbox;
-      Unix.sleepf 0.01;
+      Condition.wait t.changed t.mutex;
       wait ()
     end
   in
   let clean = wait () in
   (* Join whatever has exited (instant); leave genuinely wedged domains
      un-joined rather than blocking shutdown on them. *)
-  Mutex.lock t.mutex;
   Array.iteri
     (fun slot -> function
       | Some w when Atomic.get w.exited ->

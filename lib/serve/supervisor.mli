@@ -75,7 +75,9 @@ val begin_drain : t -> unit
     respawned into a closed mailbox. *)
 
 val drain : t -> timeout_s:float -> bool
-(** Wait (polling) until every worker and zombie has exited, joining
-    them; [false] if the timeout expires first — genuinely wedged
-    domains are left un-joined rather than hanging shutdown. Implies
-    {!begin_drain}; the mailbox must already be closed. *)
+(** Wait until every worker and zombie has exited, joining them;
+    [false] if the timeout expires first — genuinely wedged domains are
+    left un-joined rather than hanging shutdown. Implies
+    {!begin_drain}; the mailbox must already be closed. Returns as soon
+    as the last worker exits; the deadline is checked on each {!scan},
+    so the ticker must still be running. *)

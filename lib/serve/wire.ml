@@ -231,9 +231,14 @@ let status s =
 
 let event s = Json.Obj (("event", Json.String "session") :: status_body s)
 
-let stats ~service =
+let stats ~service ~wakeups =
   Json.Obj
-    [ ("ok", Json.Bool true); ("op", Json.String "stats"); ("stats", service) ]
+    [
+      ("ok", Json.Bool true);
+      ("op", Json.String "stats");
+      ("stats", service);
+      ("wakeups", Json.Int wakeups);
+    ]
 
 let pong = Json.Obj [ ("ok", Json.Bool true); ("op", Json.String "ping") ]
 

@@ -42,7 +42,11 @@ val event : Session.t -> Rumor_obs.Json.t
 (** Push notification ([{"event":"session", ...}]) sent on terminal
     transitions of sessions submitted with [notify]. *)
 
-val stats : service:Rumor_obs.Json.t -> Rumor_obs.Json.t
+val stats : service:Rumor_obs.Json.t -> wakeups:int -> Rumor_obs.Json.t
+(** Stats reply: the service's [Service.stats_json] under ["stats"]
+    and, beside it, ["wakeups"], the number of times the server loop
+    has woken from select so far (an idle server does not wake). *)
+
 val pong : Rumor_obs.Json.t
 val draining : Rumor_obs.Json.t
 val error : string -> Rumor_obs.Json.t

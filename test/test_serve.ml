@@ -1,8 +1,11 @@
 (* Tests for the rumor_serve service layer: the bounded mailbox, the
-   wire codec and line framing, deadline math, and in-process Service
+   wire codec and line framing, deadline math, in-process Service
    end-to-end runs covering completion, crash failover, wedge
    deposition, overload rejection, cancellation, shedding tiers, exact
-   retry budgets and clean shutdown with conservation reconciled. *)
+   retry budgets and clean shutdown with conservation reconciled, and
+   Server.run over a socketpair: events pushed without polling, an idle
+   loop that does not wake, drains on EOF and SIGTERM, and a prompt
+   stop. *)
 
 module Json = Rumor_obs.Json
 module Repair = Rumor_core.Repair
@@ -11,6 +14,7 @@ module Session = Rumor_serve.Session
 module Monitor = Rumor_serve.Monitor
 module Service = Rumor_serve.Service
 module Wire = Rumor_serve.Wire
+module Server = Rumor_serve.Server
 
 (* Poll for a condition with a generous timeout: service machinery is
    asynchronous (worker domains + ticker), so tests wait for effects
@@ -580,6 +584,167 @@ let test_service_stress_with_faults () =
       Alcotest.(check bool) "no invariant violated" true (Monitor.ok m);
       Alcotest.(check int) "terminal = accepted" 30 (Monitor.terminal_total m))
 
+(* --- Server.run over a socketpair --- *)
+
+type client = {
+  fd : Unix.file_descr;
+  thread : Thread.t;
+  code : int option Atomic.t;  (** the server's exit code, once it returns *)
+  lines : Wire.Linebuf.t;
+  buf : Bytes.t;
+  mutable pending : string list;
+}
+
+(* Serve one end of a socketpair on a thread; the test is the client. *)
+let serve ?(signals = false) ?(config = test_config ()) () =
+  let fd, sfd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let code = Atomic.make None in
+  let thread =
+    Thread.create
+      (fun () ->
+        Atomic.set code
+          (Some (Server.run ~config ~quiet:true ~signals (Server.Fd sfd))))
+      ()
+  in
+  {
+    fd;
+    thread;
+    code;
+    lines = Wire.Linebuf.create ();
+    buf = Bytes.create 65536;
+    pending = [];
+  }
+
+let send c fields =
+  let line = Wire.to_line (Json.Obj fields) in
+  ignore (Unix.write_substring c.fd line 0 (String.length line))
+
+(* The next line from the server, or [None] on EOF or timeout. *)
+let recv ?(timeout_s = 10.) c =
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec go () =
+    match c.pending with
+    | l :: rest -> (
+        c.pending <- rest;
+        match Json.of_string l with Ok j -> Some j | Error _ -> go ())
+    | [] -> (
+        let left = deadline -. Unix.gettimeofday () in
+        if left <= 0. then None
+        else
+          match Unix.select [ c.fd ] [] [] left with
+          | [], _, _ -> None
+          | _ ->
+              let n = Unix.read c.fd c.buf 0 (Bytes.length c.buf) in
+              if n = 0 then None
+              else begin
+                c.pending <- Wire.Linebuf.feed c.lines c.buf 0 n;
+                go ()
+              end)
+  in
+  go ()
+
+(* Read until a line satisfies [pred]. *)
+let rec recv_until ?timeout_s c pred =
+  match recv ?timeout_s c with
+  | Some j when pred j -> j
+  | Some _ -> recv_until ?timeout_s c pred
+  | None -> Alcotest.fail "server closed or went quiet"
+
+let str k j = Option.bind (Json.member k j) Json.to_string_opt
+let int k j = Option.bind (Json.member k j) Json.to_int
+
+let stats c =
+  send c [ ("op", Json.String "stats") ];
+  recv_until c (fun j -> str "op" j = Some "stats")
+
+(* Close the client end (EOF drains the server) and join it. *)
+let stop c =
+  (try Unix.close c.fd with Unix.Unix_error _ -> ());
+  Thread.join c.thread;
+  Atomic.get c.code
+
+let submit_fields ?(n = 256) ~notify seed =
+  [
+    ("op", Json.String "submit");
+    ("n", Json.Int n);
+    ("seed", Json.Int seed);
+    ("notify", Json.Bool notify);
+  ]
+
+let test_server_event_then_idle () =
+  let c = serve () in
+  send c (submit_fields ~notify:true 5);
+  let ev = recv_until c (fun j -> str "event" j = Some "session") in
+  Alcotest.(check (option string)) "event state" (Some "completed")
+    (str "state" ev);
+  let wakeups j = Option.get (int "wakeups" j) in
+  let w0 = wakeups (stats c) in
+  Thread.delay 0.2;
+  let w1 = wakeups (stats c) in
+  (* The second stats request is the only thing to wake for. *)
+  Alcotest.(check int) "no wake-up while idle" 1 (w1 - w0);
+  Alcotest.(check (option int)) "clean exit" (Some 0) (stop c)
+
+let test_server_eof_drains () =
+  let c = serve ~config:(test_config ~workers:1 ()) () in
+  let k = 8 in
+  for i = 1 to k do
+    send c (submit_fields ~n:4096 ~notify:false (40 + i))
+  done;
+  for _ = 1 to k do
+    let r = recv_until c (fun j -> str "op" j = Some "submit") in
+    Alcotest.(check bool) "accepted" true
+      (Json.member "ok" r = Some (Json.Bool true))
+  done;
+  let in_flight = Option.get (int "in_flight" (Option.get (Json.member "stats" (stats c)))) in
+  Alcotest.(check bool) "sessions in flight at EOF" true (in_flight > 0);
+  Unix.shutdown c.fd Unix.SHUTDOWN_SEND;
+  (* EOF only stops reading: the final stats line still arrives. *)
+  let final = recv_until c (fun j -> str "op" j = Some "stats") in
+  let monitor = Option.get (Json.member "monitor" (Option.get (Json.member "stats" final))) in
+  Alcotest.(check (option int)) "every session completed" (Some k)
+    (int "completed" monitor);
+  Alcotest.(check (option int)) "clean drain" (Some 0) (stop c)
+
+let test_server_sigterm () =
+  let c = serve ~signals:true () in
+  send c [ ("op", Json.String "ping") ];
+  ignore (recv_until c (fun j -> str "op" j = Some "ping"));
+  Unix.kill (Unix.getpid ()) Sys.sigterm;
+  let exited =
+    wait_for ~timeout_s:1. (fun () -> Option.is_some (Atomic.get c.code))
+  in
+  (* Unblock a server that missed the signal, so a failure cannot hang. *)
+  let code = stop c in
+  Alcotest.(check bool) "exits within 1 s of SIGTERM" true exited;
+  Alcotest.(check (option int)) "clean drain" (Some 0) code
+
+(* Stopping has no fixed sleep left, so only a busy host can push the
+   median past 3 ms: each of the stop's thread hand-offs can then wait
+   out a scheduler slice. A fixed 10 ms sleep anywhere on that path
+   puts every median above it, so a round of 10 cycles may be retried
+   up to four times before the test fails. *)
+let test_server_stops_promptly () =
+  let cycle () =
+    let c = serve ~config:(test_config ~workers:1 ()) () in
+    send c [ ("op", Json.String "ping") ];
+    ignore (recv_until c (fun j -> str "op" j = Some "ping"));
+    let t0 = Unix.gettimeofday () in
+    Alcotest.(check (option int)) "clean exit" (Some 0) (stop c);
+    Unix.gettimeofday () -. t0
+  in
+  let median () =
+    let times = List.sort Float.compare (List.init 10 (fun _ -> cycle ())) in
+    (List.nth times 4 +. List.nth times 5) /. 2.
+  in
+  let rec rounds left =
+    let m = median () in
+    if m < 0.003 then ()
+    else if left > 1 then rounds (left - 1)
+    else Alcotest.failf "median EOF-to-return %.2f ms, want < 3 ms" (m *. 1e3)
+  in
+  rounds 5
+
 (* --- backoff gap sharing (service side of the Repair policy) --- *)
 
 let prop_retry_gap_in_window =
@@ -649,6 +814,17 @@ let () =
             test_service_shutdown_clean;
           Alcotest.test_case "stress with faults" `Slow
             test_service_stress_with_faults;
+        ] );
+      ( "server",
+        [
+          Alcotest.test_case "event pushed, idle loop sleeps" `Quick
+            test_server_event_then_idle;
+          Alcotest.test_case "EOF drains in-flight sessions" `Quick
+            test_server_eof_drains;
+          Alcotest.test_case "SIGTERM rings the loop" `Quick
+            test_server_sigterm;
+          Alcotest.test_case "stops promptly on EOF" `Quick
+            test_server_stops_promptly;
         ] );
       ("properties", qcheck_cases);
     ]
