@@ -2,34 +2,30 @@
    [ring]; one owner waits on [fd] in a [select] and calls [clear]
    before it looks at whatever the ring announced.
 
-   [pending] keeps the pipe from filling: only the ring that flips it
-   from false to true writes, so the pipe holds at most two bytes (one
-   more can land between [clear]'s reset and its read, which costs one
-   spurious wake-up, never a lost one). Both ends are non-blocking, so
-   neither a ring nor a clear can ever block. *)
+   Every ring writes one byte and [clear] reads until the pipe is
+   empty. A ring whose byte [clear] consumed published its state before
+   it wrote, so the owner sees that state when it looks after the
+   clear; a ring whose write follows [clear]'s last read leaves its
+   byte in the pipe. No ring is lost, at worst one costs a spurious
+   wake-up. Both ends are non-blocking: a ring that finds the pipe full
+   drops its byte (a full pipe is already a pending wake), and neither
+   end can block. *)
 
-type t = {
-  r : Unix.file_descr;
-  w : Unix.file_descr;
-  pending : bool Atomic.t;
-  scratch : Bytes.t;
-}
+type t = { r : Unix.file_descr; w : Unix.file_descr; scratch : Bytes.t }
 
 let create () =
   let r, w = Unix.pipe ~cloexec:true () in
   Unix.set_nonblock r;
   Unix.set_nonblock w;
-  { r; w; pending = Atomic.make false; scratch = Bytes.create 16 }
+  { r; w; scratch = Bytes.create 512 }
 
 let fd t = t.r
 
 let ring t =
-  if not (Atomic.exchange t.pending true) then
-    try ignore (Unix.single_write_substring t.w "!" 0 1)
-    with Unix.Unix_error _ -> ()
+  try ignore (Unix.single_write_substring t.w "!" 0 1)
+  with Unix.Unix_error _ -> ()
 
 let clear t =
-  Atomic.set t.pending false;
   let rec empty () =
     match Unix.read t.r t.scratch 0 (Bytes.length t.scratch) with
     | 0 -> ()

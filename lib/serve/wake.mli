@@ -1,15 +1,15 @@
 (** A doorbell for a thread that sleeps in [Unix.select].
 
-    A non-blocking, close-on-exec pipe plus an atomic "wake pending"
-    flag. Any thread, domain or signal handler may {!ring}; the one
-    owner either puts {!fd} in its own [select] set (the server loop)
-    or sleeps in {!wait} (the service ticker). A ring writes a byte only
-    when none is pending, so the pipe never fills and ringing never
-    blocks.
+    A non-blocking, close-on-exec pipe. Any thread, domain or signal
+    handler may {!ring}; the one owner either puts {!fd} in its own
+    [select] set (the server loop) or sleeps in {!wait} (the service
+    ticker). Each ring writes one byte; a ring that finds the pipe full
+    drops it, since a full pipe already wakes the owner.
 
     The owner must {!clear} before it reads the state the ring
-    announces: a ring that lands after the clear then leaves a byte in
-    the pipe, so it is never lost. *)
+    announces, and a ringer must publish that state before it rings.
+    Then a ring is never lost: either the owner sees its state after
+    the clear, or its byte is still in the pipe. *)
 
 type t
 
@@ -23,7 +23,7 @@ val ring : t -> unit
     handler; never blocks, never raises. *)
 
 val clear : t -> unit
-(** Reset the pending flag, then empty the pipe. Owner only. *)
+(** Empty the pipe. Owner only. *)
 
 val wait : t -> timeout_s:float -> unit
 (** Sleep until a ring or [timeout_s] seconds (negative: no timeout),

@@ -5,7 +5,7 @@
    retry budgets and clean shutdown with conservation reconciled, and
    Server.run over a socketpair: events pushed without polling, an idle
    loop that does not wake, drains on EOF and SIGTERM, and a prompt
-   stop. *)
+   stop; and the wake pipe under rings racing its clears. *)
 
 module Json = Rumor_obs.Json
 module Repair = Rumor_core.Repair
@@ -15,6 +15,7 @@ module Monitor = Rumor_serve.Monitor
 module Service = Rumor_serve.Service
 module Wire = Rumor_serve.Wire
 module Server = Rumor_serve.Server
+module Wake = Rumor_serve.Wake
 
 (* Poll for a condition with a generous timeout: service machinery is
    asynchronous (worker domains + ticker), so tests wait for effects
@@ -762,6 +763,48 @@ let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_deadline_monotone_in_n; prop_retry_gap_in_window ]
 
+(* Wake: no ring is lost to a clear that runs beside it. Two domains
+   ring without pause while the owner loops [clear]. After each clear
+   the owner waits until some ringer has finished a ring that began
+   after the clear returned (its second ring since the clear: the first
+   may have begun before), and the pipe must then be readable at once. *)
+let test_wake_no_lost_ring () =
+  let w = Wake.create () in
+  let stop = Atomic.make false in
+  let rung = Array.init 2 (fun _ -> Atomic.make 0) in
+  let ringers =
+    Array.map
+      (fun count ->
+        Domain.spawn (fun () ->
+            while not (Atomic.get stop) do
+              Wake.ring w;
+              Atomic.incr count
+            done))
+      rung
+  in
+  let deadline = Unix.gettimeofday () +. 0.5 in
+  let rounds = ref 0 and lost = ref false in
+  while (not !lost) && !rounds < 20_000 && Unix.gettimeofday () < deadline do
+    Wake.clear w;
+    let seen = Array.map Atomic.get rung in
+    let after_clear () =
+      Array.exists2 (fun c s -> Atomic.get c >= s + 2) rung seen
+    in
+    while not (after_clear ()) do
+      Domain.cpu_relax ()
+    done;
+    (match Unix.select [ Wake.fd w ] [] [] 0. with
+    | [], _, _ -> lost := true
+    | _ -> ());
+    incr rounds
+  done;
+  Atomic.set stop true;
+  Array.iter Domain.join ringers;
+  Wake.close w;
+  Alcotest.(check bool)
+    (Printf.sprintf "ring lost after %d clears" !rounds)
+    false !lost
+
 let () =
   Alcotest.run "rumor_serve"
     [
@@ -825,6 +868,11 @@ let () =
             test_server_sigterm;
           Alcotest.test_case "stops promptly on EOF" `Quick
             test_server_stops_promptly;
+        ] );
+      ( "wake",
+        [
+          Alcotest.test_case "no ring lost to a concurrent clear" `Quick
+            test_wake_no_lost_ring;
         ] );
       ("properties", qcheck_cases);
     ]
