@@ -297,11 +297,12 @@ let to_text t =
   sk "packed" (string_of_bool t.packed);
   Buffer.contents b
 
-(* Whether the generator behind a materialised topology can build
+(* Whether the generator behind a topology can build
    (n, d). A pairing with d <= 2 is a union of paths and cycles, almost
    never connected at scale, so [regular] needs 3 <= d < n with n * d
    even; [product-k5] needs the same of its base graph; [gnp]'s edge
-   probability d / (n - 1) must be at most 1. *)
+   probability d / (n - 1) must be at most 1. The matching views read
+   16-bit round tables, which cover n <= 2^32. *)
 let check_topology ~topology ~n ~d =
   let pairing ~n ~d = d >= 3 && Rumor_gen.Regular.feasible ~n ~d in
   let refuse need =
@@ -314,6 +315,8 @@ let check_topology ~topology ~n ~d =
   | "product-k5" when not (pairing ~n:(max 4 (n / 5)) ~d:(d - 4)) ->
       refuse "3 <= d - 4 < max 4 (n / 5) with max 4 (n / 5) * (d - 4) even"
   | "gnp" when d > n - 1 -> refuse "d <= n - 1"
+  | ("implicit-regular" | "implicit-chords") when n > 1 lsl 32 ->
+      refuse "n <= 2^32"
   | _ -> Ok ()
 
 (* Cross-key checks that only make sense once the whole file is read. *)

@@ -158,11 +158,12 @@ val to_text : t -> string
     the key list; chaos repro artifacts embed it. *)
 
 val check_topology : topology:string -> n:int -> d:int -> (unit, string) result
-(** Whether the generator behind a materialised topology can build
+(** Whether the generator behind a topology can build
     [(n, d)]: [regular] needs [3 <= d < n] with [n * d] even,
     [product-k5] the same of its base graph ([max 4 (n / 5)] nodes,
-    degree [d - 4]), and [gnp] needs [d <= n - 1]. Other topologies
-    always pass. The error names the topology, [n] and [d]. *)
+    degree [d - 4]), [gnp] needs [d <= n - 1], and [implicit-regular]
+    and [implicit-chords] need [n <= 2^32]. Other topologies always
+    pass. The error names the topology, [n] and [d]. *)
 
 val validate : t -> (t, string) result
 (** Cross-key checks run after the whole file is read: burst

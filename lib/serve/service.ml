@@ -97,7 +97,10 @@ let with_lock t f =
 (* Topologies are built once per (name, n, d, seed) and shared by all
    worker domains — safe because a topology is read-only during a run
    (faults mutate engine-side liveness, never the view), and the
-   implicit views compute neighbours purely. *)
+   implicit views compute neighbours purely: a view fills its round
+   tables once, on its first neighbour query, and publishes them
+   atomically, so domains that race on a fresh view read identical
+   tables. *)
 let topology_for t (spec : Session.spec) =
   let key = (spec.topology, spec.n, spec.d, spec.seed) in
   Mutex.lock t.topo_mutex;

@@ -12,8 +12,9 @@
 
     {!implicit_regular}, {!implicit_hypercube} and {!implicit_chords}
     compute [degree]/[neighbor] on the fly from a seed in O(1)-ish time
-    and O(d) memory, lifting the scale ceiling from the
-    configuration-model's n = 2^20 to n = 10^7..10^8. They guarantee:
+    and memory independent of n up to small round tables (below),
+    lifting the scale ceiling from the configuration-model's n = 2^20
+    to n = 10^7..10^8. They guarantee:
 
     - {b determinism}: the seed fully determines the neighbour
       function; two views with the same parameters are the same graph,
@@ -32,7 +33,29 @@
     Random-regular and chord views may contain parallel edges (two
     matchings can pair the same nodes), exactly like the paper's
     configuration-model multigraphs before erasure; at d ≪ n their
-    expected number is O(d²). *)
+    expected number is O(d²).
+
+    {2 Matchings}
+
+    Each seed-keyed matching of {!implicit_regular} and
+    {!implicit_chords} is a keyed 4-round Feistel permutation [P] of
+    the ids [0 .. 2^bits - 1] with [bits = ⌈log₂ n⌉], cycle-walked down
+    to [0 .. n - 1]: node [v] sits at position [P v], position [p]
+    pairs with [p lxor 1], and the partner is read back through [P]'s
+    inverse. The two halves of a word are ⌈bits/2⌉ and ⌊bits/2⌋ bits
+    wide (balanced when [bits] is even), so the cycle-walk ratio
+    [2^bits / n] is below 2 for every [n] (1.75 at n = 37450, 1.34 at
+    10^8), and a partner costs about [2 · 2^bits / n] permutation
+    evaluations.
+
+    A round function reads one half, at most 16 bits, so each is a
+    table of 16-bit entries: 4 · (2^⌈bits/2⌉ + 2^⌊bits/2⌋) bytes per
+    matching, which is 16 KB for d = 8 at n = 37450 and 768 KB at
+    10^8. The 16-bit entries limit [n] to [2^32]. A view builds its
+    tables once, on its first partner query, as one allocation, and
+    publishes them atomically: a view shared between domains is safe,
+    since a racing domain builds identical tables. Building a view is
+    only a key schedule, and partner queries allocate nothing. *)
 
 type t = {
   capacity : int;  (** exclusive upper bound on node ids *)
@@ -60,17 +83,14 @@ val alive_count : t -> int
 
 val implicit_regular : seed:int -> n:int -> d:int -> t
 (** [implicit_regular ~seed ~n ~d] is a random [d]-regular multigraph
-    on [n] nodes: the union of [d] seed-keyed perfect matchings, each a
-    Feistel permutation of [0, n) pairing position [p] with
-    [p lxor 1]. Every node has degree exactly [d]; [neighbor v i] is
-    [v]'s partner in matching [i]: a cycle-walked Feistel encryption
-    and a cycle-walked decryption, each costing an expected
-    [2^bits / n] Feistel evaluations for the smallest even [bits] with
-    [2^bits >= n] (1.75 at n = 37450), with no allocation and no
-    materialised state beyond the [d] keys. Connected with high
+    on [n] nodes: the union of [d] seed-keyed perfect matchings (see
+    Matchings above). Every node has degree exactly [d];
+    [neighbor v i] is [v]'s partner in matching [i] and raises
+    [Invalid_argument] for [i] outside [0 .. d - 1]. Connected with high
     probability for [d >= 3], as for configuration-model regular
     graphs.
-    @raise Invalid_argument if [n < 2], [n] is odd, or [d < 1]. *)
+    @raise Invalid_argument if [n < 2], [n] is odd, [n > 2^32], or
+    [d < 1]. *)
 
 val implicit_hypercube : n:int -> t
 (** [implicit_hypercube ~n] is the [k]-dimensional hypercube with
@@ -88,9 +108,11 @@ val implicit_chords : seed:int -> n:int -> d:int -> t
     predecessor, [neighbor v 1] the successor) plus [d - 2] seed-keyed
     chord matchings — a small-world ring in the spirit of the paper's
     peer-to-peer overlays, with guaranteed connectivity from the ring
-    and random long-range chords for O(log n) broadcast.
-    @raise Invalid_argument if [n < 3], [d < 2], or [d > 2] with [n]
-    odd. *)
+    and random long-range chords for O(log n) broadcast. The chords
+    are matchings as above; [neighbor v i] raises [Invalid_argument]
+    for [i] outside [0 .. d - 1].
+    @raise Invalid_argument if [n < 3], [n > 2^32], [d < 2], or
+    [d > 2] with [n] odd. *)
 
 val to_graph : t -> Rumor_graph.Graph.t
 (** Materialise a {e symmetric} topology view as a CSR graph (each

@@ -153,7 +153,35 @@ let test_implicit_validation () =
       (fun () -> Topology.implicit_chords ~seed:1 ~n:2 ~d:2);
       (fun () -> Topology.implicit_chords ~seed:1 ~n:9 ~d:4);
       (fun () -> Topology.implicit_hypercube ~n:1);
+      (* Round-table entries are 16 bits, so the domain stops at 2^32. *)
+      (fun () -> Topology.implicit_regular ~seed:1 ~n:((1 lsl 32) + 2) ~d:3);
+      (fun () -> Topology.implicit_chords ~seed:1 ~n:((1 lsl 32) + 2) ~d:4);
     ];
+  (* The largest domain still answers, without a fixed point. *)
+  let big = Topology.implicit_regular ~seed:1 ~n:(1 lsl 32) ~d:2 in
+  List.iter
+    (fun v ->
+      let w = big.Topology.neighbor v 1 in
+      Alcotest.(check bool) "2^32 partner in range" true
+        (w >= 0 && w < 1 lsl 32 && w <> v);
+      Alcotest.(check int) "2^32 involution" v (big.Topology.neighbor w 1))
+    [ 0; (1 lsl 32) - 1; 123456789 ];
+  let views =
+    [
+      ("regular", Topology.implicit_regular ~seed:3 ~n:64 ~d:4, 4);
+      ("chords", Topology.implicit_chords ~seed:3 ~n:64 ~d:5, 5);
+      ("chords ring only", Topology.implicit_chords ~seed:3 ~n:64 ~d:2, 2);
+    ]
+  in
+  List.iter
+    (fun (name, t, d) ->
+      List.iter
+        (fun i ->
+          match t.Topology.neighbor 5 i with
+          | w -> Alcotest.failf "%s neighbor 5 %d = %d, not raised" name i w
+          | exception Invalid_argument _ -> ())
+        [ d; d + 1; -1; min_int ])
+    views;
   (* Out-of-range neighbour indices raise on every view, the hypercube
      included (it once answered -1). *)
   let cube = Topology.implicit_hypercube ~n:16 in
@@ -163,6 +191,166 @@ let test_implicit_validation () =
       | w -> Alcotest.failf "hypercube neighbor %d %d = %d, not raised" v i w
       | exception Invalid_argument _ -> ())
     [ (0, 4); (15, 4); (5, 7); (5, -1) ]
+
+(* ------------------------------------------------------------------ *)
+(* Tabulated matchings vs the per-round-hash Feistel they replace.     *)
+(* ------------------------------------------------------------------ *)
+
+(* The reference Feistel: four rounds of [L, R -> R, L lxor F_i(R)],
+   hashing R with splitmix's finalizer in every round and masking to
+   L's width. L starts at ⌈bits/2⌉ bits and R at ⌊bits/2⌋, and each
+   round swaps the widths; with [bits] even both are [bits/2], the
+   balanced Feistel whose graphs every even-bit pin was recorded on.
+   The key schedule and salts are the views' own, so a drift in either
+   shows here too. *)
+let mix x =
+  let x = x lxor (x lsr 30) in
+  let x = x * 0x2545F4914F6CDD1D in
+  let x = x lxor (x lsr 27) in
+  let x = x * 0x2B2F159E4BC5AB1D in
+  x lxor (x lsr 31)
+
+let round_f ~key i r width =
+  mix (r lxor key lxor (i * 0x9E3779B97F4A7C)) land ((1 lsl width) - 1)
+
+let oracle_enc ~key ~bits x =
+  let wl = ref (bits - (bits / 2)) and wr = ref (bits / 2) in
+  let l = ref (x lsr !wr) and r = ref (x land ((1 lsl !wr) - 1)) in
+  for i = 0 to 3 do
+    let l' = !r and r' = !l lxor round_f ~key i !r !wl in
+    l := l';
+    r := r';
+    let w = !wl in
+    wl := !wr;
+    wr := w
+  done;
+  (!l lsl !wr) lor !r
+
+let oracle_dec ~key ~bits x =
+  let wl = ref (bits - (bits / 2)) and wr = ref (bits / 2) in
+  let l = ref (x lsr !wr) and r = ref (x land ((1 lsl !wr) - 1)) in
+  for i = 3 downto 0 do
+    let r' = !l and l' = !r lxor round_f ~key i !l !wr in
+    l := l';
+    r := r';
+    let w = !wl in
+    wl := !wr;
+    wr := w
+  done;
+  (!l lsl !wr) lor !r
+
+let rec oracle_walk f ~n x =
+  let y = f x in
+  if y < n then y else oracle_walk f ~n y
+
+let oracle_partner ~key ~bits ~n v =
+  let p = oracle_walk (oracle_enc ~key ~bits) ~n v in
+  oracle_walk (oracle_dec ~key ~bits) ~n (p lxor 1)
+
+let oracle_keys ~salt ~seed d =
+  Array.init d (fun j -> mix (mix (seed lxor salt) + ((j + 1) * 0x3C79AC492BA7B653)))
+
+(* Two even n per bit count: the power of two (the walk never repeats)
+   and the smallest even n that needs [bits] bits (ratio just under 2).
+   Nodes: both ends of the range and a spread of pseudo-random ones. *)
+let sizes_for bits =
+  List.sort_uniq Int.compare [ 1 lsl bits; (1 lsl (bits - 1)) + 2 ]
+
+let sample_nodes ~n =
+  let x = ref (n * 0x9E3779B9) in
+  0 :: (n - 1)
+  :: List.init 64 (fun _ ->
+         x := (!x * 0x5851F42D4C957F2D) + 0x14057B7EF767814F;
+         (!x lsr 17) mod n)
+
+let check_against_oracle ~bits =
+  List.iter
+    (fun n ->
+      if not (1 lsl bits >= n && 1 lsl bits < 2 * n) then
+        Alcotest.failf "n = %d does not need %d bits" n bits;
+      let seed = 7 * bits and d = 3 in
+      let reg = Topology.implicit_regular ~seed ~n ~d in
+      let chords = Topology.implicit_chords ~seed ~n ~d:(d + 2) in
+      let reg_keys = oracle_keys ~salt:0x51ED2701 ~seed d in
+      let chord_keys = oracle_keys ~salt:0x3C6EF372 ~seed d in
+      List.iter
+        (fun v ->
+          for i = 0 to d - 1 do
+            let want = oracle_partner ~key:reg_keys.(i) ~bits ~n v in
+            let got = reg.Topology.neighbor v i in
+            if got <> want then
+              Alcotest.failf "regular n=%d v=%d i=%d: %d, oracle %d" n v i got
+                want;
+            let want = oracle_partner ~key:chord_keys.(i) ~bits ~n v in
+            let got = chords.Topology.neighbor v (i + 2) in
+            if got <> want then
+              Alcotest.failf "chords n=%d v=%d i=%d: %d, oracle %d" n v i got
+                want
+          done)
+        (sample_nodes ~n))
+    (sizes_for bits)
+
+let test_tables_match_oracle_even () =
+  for k = 1 to 12 do
+    check_against_oracle ~bits:(2 * k)
+  done
+
+(* At odd bit counts the halves are unbalanced. Besides the oracle,
+   check the matching laws directly: partners are in range, never the
+   node itself, and partnering twice returns the node. *)
+let test_tables_odd_bits () =
+  for k = 1 to 11 do
+    let bits = (2 * k) + 1 in
+    check_against_oracle ~bits;
+    List.iter
+      (fun n ->
+        let t = Topology.implicit_regular ~seed:bits ~n ~d:4 in
+        List.iter
+          (fun v ->
+            for i = 0 to 3 do
+              let w = t.Topology.neighbor v i in
+              if w < 0 || w >= n || w = v then
+                Alcotest.failf "n=%d: neighbor %d %d = %d" n v i w;
+              let back = t.Topology.neighbor w i in
+              if back <> v then
+                Alcotest.failf "n=%d: matching %d not an involution at %d" n i
+                  v
+            done)
+          (sample_nodes ~n))
+      (sizes_for bits)
+  done
+
+(* Views fill their round tables on the first query. Two domains that
+   make that query on one fresh view at the same moment must both see
+   the partners a view used from one domain gives. At n = 2^20 + 2 the
+   tables take a few hundred µs to fill; the second domain starts a
+   little later in each trial, so its first call lands at different
+   points of the first domain's fill. *)
+let test_shared_view_first_calls () =
+  let n = (1 lsl 20) + 2 and d = 8 in
+  let all_partners t =
+    Array.init (4096 * d) (fun k -> t.Topology.neighbor (k / d) (k mod d))
+  in
+  for seed = 1 to 40 do
+    let want = all_partners (Topology.implicit_regular ~seed ~n ~d) in
+    let shared = Topology.implicit_regular ~seed ~n ~d in
+    let ready = Atomic.make 0 in
+    let worker delay () =
+      Atomic.incr ready;
+      while Atomic.get ready < 2 do
+        Domain.cpu_relax ()
+      done;
+      for _ = 1 to delay do
+        Domain.cpu_relax ()
+      done;
+      all_partners shared
+    in
+    let a = Domain.spawn (worker 0)
+    and b = Domain.spawn (worker ((seed - 1) * 250)) in
+    let got_a = Domain.join a and got_b = Domain.join b in
+    if got_a <> want || got_b <> want then
+      Alcotest.failf "seed %d: a racing domain saw different partners" seed
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Scenario integration: caps and rejections.                          *)
@@ -194,6 +382,19 @@ let test_scenario_guards () =
   (match Scenario.parse "topology = implicit-regular\nn = 4097\n" with
   | Ok _ -> Alcotest.fail "odd n accepted for implicit-regular"
   | Error _ -> ());
+  (* Past the round tables' 2^32 nodes: a parse error, not an uncaught
+     Invalid_argument from the view. *)
+  List.iter
+    (fun topology ->
+      match
+        Scenario.parse
+          (Printf.sprintf "topology = %s\nn = 8589934592\nd = 4\n" topology)
+      with
+      | Ok _ -> Alcotest.failf "%s accepted n = 2^33" topology
+      | Error msg ->
+          Alcotest.(check bool) "error names the limit" true
+            (contains ~sub:"2^32" msg))
+    [ "implicit-regular"; "implicit-chords" ];
   match Scenario.parse "topology = implicit-chords\nn = 4096\nd = 6\n" with
   | Ok s ->
       let t =
@@ -298,6 +499,12 @@ let () =
               test_implicit_hypercube_broadcast_identical;
             Alcotest.test_case "implicit parameter validation" `Quick
               test_implicit_validation;
+            Alcotest.test_case "round tables = Feistel oracle, even bits"
+              `Quick test_tables_match_oracle_even;
+            Alcotest.test_case "round tables at odd bits" `Quick
+              test_tables_odd_bits;
+            Alcotest.test_case "shared view, racing first calls" `Quick
+              test_shared_view_first_calls;
             Alcotest.test_case "scenario caps and rejections" `Quick
               test_scenario_guards;
             Alcotest.test_case "bitset bounds checks" `Quick test_bitset_bounds;
