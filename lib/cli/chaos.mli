@@ -19,7 +19,10 @@
 
 type outcome = {
   scenario : Scenario.t;
-  digest : string;  (** 16-hex-char trajectory digest ({!digest_of_result}) *)
+  digest : string;
+      (** 16-hex-char splitmix64 digest of every observable of the run
+          (final census, totals, completion round, crashed ids, repair
+          epochs, trace rows): any trajectory divergence changes it *)
   violations : Rumor_sim.Invariant.violation list;
       (** recorded violations, oldest first (capped by the monitor) *)
   violation_count : int;  (** total violations, including uncapped ones *)
@@ -41,15 +44,6 @@ val run_one : ?check:bool -> Scenario.t -> outcome
     monitor never draws randomness, so the digest is
     independent of [check]. An uncaught exception is captured in
     [error] (digest ["0000000000000000"]) rather than propagated. *)
-
-val digest_of_result : Rumor_sim.Engine.result -> string
-(** splitmix64 mix of every observable of a run — final census,
-    transmission/channel totals, completion round, crashed ids, repair
-    epochs and every per-round trace row. Any trajectory divergence
-    changes the digest. *)
-
-val null_digest : string
-(** The digest reported for a crashed run. *)
 
 val sample : Rumor_rng.Rng.t -> Scenario.t
 (** Draw one random chaos configuration. Axes and weights are chosen so

@@ -91,12 +91,6 @@ val op_to_string : op -> string
 val gate_holds : gate -> float -> bool
 (** Whether an observed metric value satisfies the gate. *)
 
-val kernel_metrics : string list
-(** Metric names kernel cells emit (and gates may reference). *)
-
-val service_metrics : string list
-(** Metric names service cells emit (and gates may reference). *)
-
 val parse : string -> (spec, string) result
 (** Parse matrix text. Errors carry the offending line number and its
     raw text; gate metrics are checked against the mode's vocabulary.

@@ -140,9 +140,6 @@ val topologies : string list
 val protocols : string list
 (** Accepted [protocol] values. *)
 
-val adversaries : string list
-(** Accepted [crash_adversary] values. *)
-
 val set_key : t -> key:string -> value:string -> (t, string) result
 (** Apply one [key = value] assignment (both already trimmed). This is
     the full scalar surface of the scenario language — range checks
@@ -269,10 +266,6 @@ type report = {
   repair_tx_per_node : Rumor_stats.Summary.t;
       (** transmissions spent inside repair epochs, per live node *)
 }
-
-val report_of_results : t -> Rumor_sim.Engine.result list -> report
-(** Summarise a list of per-repetition results (as produced by
-    {!run_rep}) into a report. *)
 
 val run : t -> report
 (** Execute the scenario: [reps] broadcasts on fresh graphs with forked

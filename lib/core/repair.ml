@@ -132,9 +132,3 @@ let self_heal ?fault ?collect_trace ?(forget_on_recover = true) ?reset
     ~protocol
     ~repair:(strategy cfg ~rng ~capacity:topology.Topology.capacity)
     ~sources ()
-
-let heal ?fault ?collect_trace ?forget_on_recover ?monitor ?packed ~config ~rng
-    ~graph ~protocol ~source () =
-  self_heal ?fault ?collect_trace ?forget_on_recover ?monitor ?packed ~config
-    ~rng
-    ~topology:(Topology.of_graph graph) ~protocol ~sources:[ source ] ()

@@ -75,13 +75,6 @@ val config :
     epoch_rounds], [max_epochs = 8].
     @raise Invalid_argument on non-positive or inconsistent values. *)
 
-val protocol : config -> unit Rumor_sim.Protocol.t
-(** The per-epoch protocol: informed nodes push never, answer pulls
-    while [round <= quiescence], and are quiescent afterwards; horizon
-    is [epoch_rounds]. Pair it with the gate from {!strategy} — without
-    a gate every node (informed included) would open channels each
-    round. *)
-
 val strategy :
   config ->
   rng:Rumor_rng.Rng.t ->
@@ -121,19 +114,3 @@ val self_heal :
     [true] here — self-healing is exactly the regime in which stale
     post-crash state should not be trusted. The result's [repair] field
     carries the per-epoch accounting. *)
-
-val heal :
-  ?fault:Rumor_sim.Fault.t ->
-  ?collect_trace:bool ->
-  ?forget_on_recover:bool ->
-  ?monitor:Rumor_sim.Invariant.t ->
-  ?packed:bool ->
-  config:config ->
-  rng:Rumor_rng.Rng.t ->
-  graph:Rumor_graph.Graph.t ->
-  protocol:'st Rumor_sim.Protocol.t ->
-  source:int ->
-  unit ->
-  Rumor_sim.Engine.result
-(** {!self_heal} on a static graph from a single source (the
-    {!Run.once} analogue). *)

@@ -1,18 +1,8 @@
-(** Deterministic graph families used as baselines and test fixtures. *)
+(** Deterministic graph families used as baselines. *)
 
 val complete : int -> Rumor_graph.Graph.t
 (** [complete n] is [K_n] — the topology of the original phone call
     analyses ([25], [7], [33]). *)
-
-val cycle : int -> Rumor_graph.Graph.t
-(** [cycle n] is the [n]-cycle (2-regular, diameter [n/2]).
-    @raise Invalid_argument if [n < 3]. *)
-
-val path : int -> Rumor_graph.Graph.t
-(** [path n] is the path on [n] vertices. *)
-
-val star : int -> Rumor_graph.Graph.t
-(** [star n] has vertex 0 adjacent to all others. *)
 
 val hypercube : int -> Rumor_graph.Graph.t
 (** [hypercube k] is the [k]-dimensional hypercube on [2^k] vertices
@@ -22,9 +12,3 @@ val hypercube : int -> Rumor_graph.Graph.t
 val torus2d : int -> int -> Rumor_graph.Graph.t
 (** [torus2d rows cols] is the 4-regular wrap-around grid.
     @raise Invalid_argument if either side is [< 3]. *)
-
-val circulant : int -> int list -> Rumor_graph.Graph.t
-(** [circulant n offsets] connects [v] to [v ± o mod n] for each offset
-    [o] — a deterministic regular expander-ish family for contrast with
-    random regular graphs.
-    @raise Invalid_argument on offsets outside [\[1, n/2\]]. *)

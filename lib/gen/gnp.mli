@@ -6,9 +6,3 @@ val sample : rng:Rumor_rng.Rng.t -> n:int -> p:float -> Rumor_graph.Graph.t
     independently with probability [p], in expected time
     O(n + p*n^2) via geometric edge skipping.
     @raise Invalid_argument if [p] is outside [\[0, 1\]] or [n < 0]. *)
-
-val sample_gnm : rng:Rumor_rng.Rng.t -> n:int -> m:int -> Rumor_graph.Graph.t
-(** [sample_gnm ~rng ~n ~m] is a uniform simple graph with exactly [m]
-    edges (rejection over uniform pairs; requires
-    [m <= n(n-1)/2]).
-    @raise Invalid_argument if [m] is out of range. *)

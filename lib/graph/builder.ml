@@ -10,9 +10,6 @@ let create ?(capacity = 64) ~n () =
   let capacity = max capacity 1 in
   { n; us = Array.make capacity 0; vs = Array.make capacity 0; len = 0 }
 
-let n b = b.n
-let edge_count b = b.len
-
 let grow b =
   let cap = Array.length b.us in
   let us = Array.make (2 * cap) 0 and vs = Array.make (2 * cap) 0 in

@@ -10,12 +10,6 @@ val create : ?capacity:int -> n:int -> unit -> t
 (** [create ~n ()] is an empty builder on vertices [0 .. n-1].
     [capacity] pre-sizes the edge store. *)
 
-val n : t -> int
-(** Number of vertices. *)
-
-val edge_count : t -> int
-(** Number of edges added so far. *)
-
 val add_edge : t -> int -> int -> unit
 (** [add_edge b u v] records the undirected edge [(u, v)]. Parallel
     edges and self-loops are recorded as given.

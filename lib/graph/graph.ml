@@ -77,43 +77,12 @@ let iter_edges g f =
     done
   done
 
-let mem_edge g u v =
-  (* Scan the smaller adjacency slice and stop at the first hit. *)
-  let a, b = if degree g u <= degree g v then (u, v) else (v, u) in
-  let i = ref g.off.(a) in
-  let stop = g.off.(a + 1) in
-  while !i < stop && g.adj.(!i) <> b do
-    incr i
-  done;
-  !i < stop
-
 let max_degree g =
   let best = ref 0 in
   for v = 0 to g.n - 1 do
     if degree g v > !best then best := degree g v
   done;
   !best
-
-let min_degree g =
-  if g.n = 0 then 0
-  else begin
-    let best = ref max_int in
-    for v = 0 to g.n - 1 do
-      if degree g v < !best then best := degree g v
-    done;
-    !best
-  end
-
-let is_regular g =
-  if g.n = 0 then Some 0
-  else begin
-    let d = degree g 0 in
-    let ok = ref true in
-    for v = 1 to g.n - 1 do
-      if degree g v <> d then ok := false
-    done;
-    if !ok then Some d else None
-  end
 
 let count_self_loops g =
   let total = ref 0 in
@@ -154,11 +123,6 @@ let count_parallel_edges g =
   !surplus
 
 let is_simple g = count_self_loops g = 0 && count_parallel_edges g = 0
-
-let to_edges g =
-  let acc = ref [] in
-  iter_edges g (fun u v -> acc := (u, v) :: !acc);
-  List.rev !acc
 
 let invariant g =
   try

@@ -49,19 +49,6 @@ val iter_edges : t -> (int -> int -> unit) -> unit
 (** [iter_edges g f] applies [f u v] once per undirected edge with
     [u <= v] (once per copy for parallel edges). *)
 
-val mem_edge : t -> int -> int -> bool
-(** [mem_edge g u v] tests adjacency by scanning the shorter list;
-    O(min degree). *)
-
-val max_degree : t -> int
-(** Largest degree, 0 for the empty graph. *)
-
-val min_degree : t -> int
-(** Smallest degree, 0 for the empty graph. *)
-
-val is_regular : t -> int option
-(** [is_regular g] is [Some d] if every vertex has degree [d]. *)
-
 val count_self_loops : t -> int
 (** Number of self-loops. *)
 
@@ -72,9 +59,6 @@ val count_parallel_edges : t -> int
 
 val is_simple : t -> bool
 (** No self-loops and no parallel edges. *)
-
-val to_edges : t -> (int * int) list
-(** Edge list with [u <= v], suitable for {!of_edges} round-trips. *)
 
 val invariant : t -> bool
 (** Structural self-check: offsets well-formed, adjacency symmetric as

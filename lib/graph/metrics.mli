@@ -1,4 +1,4 @@
-(** Descriptive statistics of a graph: degrees, triangles, clustering. *)
+(** Degree statistics of a graph. *)
 
 type degree_stats = {
   min : int;
@@ -10,31 +10,3 @@ type degree_stats = {
 
 val degree_stats : Graph.t -> degree_stats
 (** Degree summary; all-zero on the empty graph. *)
-
-val degree_histogram : Graph.t -> int array
-(** [degree_histogram g] has length [max_degree g + 1];
-    entry [d] counts vertices of degree [d]. *)
-
-val triangles_at : Graph.t -> int -> int
-(** [triangles_at g v] counts unordered neighbour pairs of [v] that are
-    themselves adjacent. O(deg^2 * min-deg) per vertex — fine for the
-    small degrees this project targets. *)
-
-val local_clustering : Graph.t -> int -> float
-(** Local clustering coefficient of a vertex; 0 if degree < 2. *)
-
-val global_clustering : Graph.t -> rng:Rumor_rng.Rng.t -> samples:int -> float
-(** Average local clustering over [samples] random vertices. Random
-    regular graphs with small [d] should score close to 0. *)
-
-val edge_boundary : Graph.t -> bool array -> int
-(** [edge_boundary g inside] counts edges with exactly one endpoint in
-    the set marked by [inside]. *)
-
-val internal_edges : Graph.t -> bool array -> int
-(** Edges with both endpoints inside the marked set (self-loops count
-    once). *)
-
-val conductance : Graph.t -> bool array -> float
-(** [conductance g s] is [boundary / min(vol S, vol V\S)], the standard
-    cut conductance; [nan] if either side has volume 0. *)

@@ -13,15 +13,6 @@ val lambda2 : Graph.t -> rng:Rumor_rng.Rng.t -> iters:int -> float
     random start vector. Meaningful for regular or near-regular graphs,
     where the top eigenvector is (close to) the all-ones vector. *)
 
-val spectral_gap : Graph.t -> rng:Rumor_rng.Rng.t -> iters:int -> float
-(** [spectral_gap g] is [d - lambda2 g] for a [d]-regular graph, using
-    the mean degree for irregular graphs. *)
-
 val ramanujan_bound : int -> float
 (** [ramanujan_bound d] is [2 * sqrt (d - 1)], the asymptotic
     second-eigenvalue bound met by random regular graphs. *)
-
-val mixing_time_estimate : Graph.t -> rng:Rumor_rng.Rng.t -> eps:float -> float
-(** Crude upper estimate of the lazy-random-walk mixing time
-    [log(n/eps) / log(d/lambda2)]; [infinity] when the spectral
-    estimate gives no gap. *)

@@ -21,16 +21,8 @@ val is_connected : Graph.t -> bool
 val largest_component : Graph.t -> int
 (** Size of the largest connected component (0 for the empty graph). *)
 
-val eccentricity : Graph.t -> int -> int
-(** [eccentricity g v] is the largest finite BFS distance from [v]
-    within [v]'s component. *)
-
 val diameter_lower_bound : Graph.t -> rng:Rumor_rng.Rng.t -> samples:int -> int
 (** [diameter_lower_bound g ~rng ~samples] runs BFS from [samples]
     random vertices (plus a double-sweep refinement) and returns the
     largest eccentricity seen — a lower bound on the diameter, and for
     random regular graphs an accurate estimate. *)
-
-val average_distance : Graph.t -> rng:Rumor_rng.Rng.t -> samples:int -> float
-(** Mean pairwise distance estimated from [samples] BFS sources,
-    ignoring unreachable pairs. Returns [nan] on the empty graph. *)

@@ -63,7 +63,7 @@ let engine_result (r : Engine.result) =
 
 let multi_result (r : Multi.result) =
   Json.Obj
-    ([
+    [
        ("rounds", Json.Int r.Multi.rounds);
        ("channels", Json.Int r.Multi.channels);
        ("population", Json.Int r.Multi.population);
@@ -84,15 +84,7 @@ let multi_result (r : Multi.result) =
                        ("transmissions", Json.Int m.Multi.transmissions);
                      ])
                  r.Multi.messages)) );
-     ]
-    @
-    match r.Multi.repair with
-    | [] -> []
-    | epochs ->
-        [
-          ("epochs_used", Json.Int (List.length epochs));
-          ("repair", Json.List (List.map epoch_stat epochs));
-        ])
+    ]
 
 let async_result (r : Async.result) =
   Json.Obj
@@ -136,4 +128,3 @@ let trace_ndjson t =
   Buffer.contents buf
 
 let float_list l = Json.List (List.map (fun x -> Json.Float x) l)
-let int_list l = Json.List (List.map (fun i -> Json.Int i) l)

@@ -9,15 +9,12 @@
 val summary : Rumor_stats.Summary.t -> Json.t
 (** [{count, mean, stddev, min, max, median, p10, p90}]. *)
 
-val epoch_stat : Rumor_sim.Engine.epoch_stat -> Json.t
-(** One repair epoch:
-    [{epoch, rounds, informed, population, coverage, repair_push_tx,
-     repair_pull_tx, repair_channels}]. *)
-
 val engine_result : Rumor_sim.Engine.result -> Json.t
 (** [{rounds, completion_round, informed, population, push_tx, pull_tx,
      channels, success}]; self-healing runs additionally carry
-    [{coverage, epochs_used, repair_tx, repair: [epoch_stat, ...]}]
+    [{coverage, epochs_used, repair_tx, repair: [epoch, ...]}], one
+    [{epoch, rounds, informed, population, coverage, repair_push_tx,
+     repair_pull_tx, repair_channels}] per repair epoch
     (added fields only — the [rumor-bench/1] schema is unchanged for
     plain runs). The [knows] array and the trace are omitted — per-node
     payload delivery is not telemetry; use {!trace_ndjson} for
@@ -25,10 +22,8 @@ val engine_result : Rumor_sim.Engine.result -> Json.t
 
 val multi_result : Rumor_sim.Multi.result -> Json.t
 (** [{rounds, channels, population, total_tx, all_complete,
-     messages: [{completion_round, informed, transmissions}, ...]}];
-    self-healing runs additionally carry
-    [{epochs_used, repair: [epoch_stat, ...]}]. The per-round trace is
-    omitted — use {!trace_ndjson}. *)
+     messages: [{completion_round, informed, transmissions}, ...]}]. The
+    per-round trace is omitted — use {!trace_ndjson}. *)
 
 val async_result : Rumor_sim.Async.result -> Json.t
 (** [{activations, time, completion_time, informed, transmissions}].
@@ -38,13 +33,9 @@ val violation : Rumor_sim.Invariant.violation -> Json.t
 (** One runtime-monitor violation: [{check, round, detail}] — the
     chaos runner's ([rumor chaos --json]) failure records. *)
 
-val trace_row : Rumor_sim.Trace.row -> Json.t
-(** One per-round record
-    [{round, informed, newly, push_tx, pull_tx, channels}]. *)
-
 val trace_ndjson : Rumor_sim.Trace.t -> string
-(** Newline-delimited JSON, one {!trace_row} per line — the streaming
+(** Newline-delimited JSON, one per-round record
+    [{round, informed, newly, push_tx, pull_tx, channels}] per line — the streaming
     format (ndjson / JSON Lines) plotting pipelines ingest directly. *)
 
 val float_list : float list -> Json.t
-val int_list : int list -> Json.t

@@ -25,11 +25,6 @@ let escape_buf buf s =
       | c -> Buffer.add_char buf c)
     s
 
-let escape_string s =
-  let buf = Buffer.create (String.length s + 8) in
-  escape_buf buf s;
-  Buffer.contents buf
-
 (* JSON has no NaN/infinity; a shortest-round-trip float keeps bench
    records diffable without 17-digit noise. *)
 let float_repr x =

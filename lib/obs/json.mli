@@ -24,10 +24,6 @@ val to_string : ?minify:bool -> t -> string
 val to_channel : ?minify:bool -> out_channel -> t -> unit
 (** [to_string] straight to a channel, followed by a newline. *)
 
-val escape_string : string -> string
-(** The JSON escaping of a string, without the surrounding quotes
-    (["\n"] becomes ["\\n"], control bytes become [\u00XX], ...). *)
-
 val default_max_depth : int
 (** Default container-nesting bound of {!of_string} (256). *)
 

@@ -1,4 +1,4 @@
-(** Wall-clock / CPU timers, GC deltas and named counters.
+(** Wall-clock / CPU timers and GC deltas.
 
     One {!span} captures everything a bench record needs about the cost
     of a measured region: elapsed wall time ([Unix.gettimeofday]),
@@ -33,17 +33,3 @@ val peak_rss_kb : unit -> int
 val span_to_json : span -> Json.t
 (** Flat object: [wall_s], [cpu_s], [peak_rss_kb] and a nested [gc]
     object. *)
-
-(** Named monotonic counters, for instrumenting code that has no
-    natural return value to thread measurements through. *)
-type counters
-
-val counters : unit -> counters
-val incr : counters -> string -> unit
-val add : counters -> string -> int -> unit
-val get : counters -> string -> int
-(** 0 for a name never incremented. *)
-
-val counters_to_json : counters -> Json.t
-(** Object with one integer field per counter, in name order
-    (deterministic output for golden tests and diffs). *)

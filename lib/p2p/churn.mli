@@ -18,20 +18,6 @@ val join : Overlay.t -> rng:Rumor_rng.Rng.t -> d:int -> int
     @raise Invalid_argument if [d] is odd or not positive.
     @raise Failure if the overlay has too few edges or no capacity. *)
 
-val join_local :
-  Overlay.t -> rng:Rumor_rng.Rng.t -> d:int -> contact:int ->
-  walk_length:int -> int
-(** Like {!join}, but fully decentralised: instead of sampling the
-    edges to split from a global view, the newcomer asks its [contact]
-    peer to run [d/2] random walks of [walk_length] steps and splits
-    the edge each walk traverses last. On a (near-)regular overlay the
-    stationary edge distribution is uniform, so for [walk_length] past
-    the mixing time this converges to {!join}'s behaviour — the
-    peer-sampling mechanism of the P2P systems the paper cites.
-    @raise Invalid_argument if [d] is odd or not positive,
-    [walk_length < 1], or [contact] is dead.
-    @raise Failure if a splittable edge cannot be found. *)
-
 val leave : Overlay.t -> rng:Rumor_rng.Rng.t -> node:int -> unit
 (** [leave t ~rng ~node] departs [node], re-pairing its neighbours'
     freed half-edges uniformly at random (parallel edges or self-loops

@@ -3,10 +3,6 @@
     Used by workload generators (update arrival processes, key
     popularity), churn models (session lengths) and statistical tests. *)
 
-val uniform : Rng.t -> lo:float -> hi:float -> float
-(** [uniform t ~lo ~hi] is uniform on [\[lo, hi)].
-    @raise Invalid_argument if [hi < lo]. *)
-
 val exponential : Rng.t -> rate:float -> float
 (** [exponential t ~rate] draws from Exp(rate) by inversion.
     @raise Invalid_argument if [rate <= 0]. *)
@@ -15,20 +11,6 @@ val geometric : Rng.t -> p:float -> int
 (** [geometric t ~p] is the number of failures before the first success
     of a Bernoulli(p) sequence (support [0, 1, 2, ...]).
     @raise Invalid_argument if [p <= 0] or [p > 1]. *)
-
-val normal : Rng.t -> mu:float -> sigma:float -> float
-(** [normal t ~mu ~sigma] draws from N(mu, sigma^2) (Marsaglia polar).
-    @raise Invalid_argument if [sigma < 0]. *)
-
-val binomial : Rng.t -> n:int -> p:float -> int
-(** [binomial t ~n ~p] draws from Bin(n, p). Exact for all parameters:
-    geometric skipping when [n*p] is small, inversion otherwise.
-    @raise Invalid_argument if [n < 0] or [p] outside [\[0,1\]]. *)
-
-val poisson : Rng.t -> lambda:float -> int
-(** [poisson t ~lambda] draws from Poisson(lambda); exact (Knuth) for
-    small lambda, split recursively for large lambda.
-    @raise Invalid_argument if [lambda < 0]. *)
 
 val zipf : Rng.t -> n:int -> s:float -> int
 (** [zipf t ~n ~s] draws a rank in [\[0, n)] with probability

@@ -30,12 +30,7 @@ let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
   Xoshiro.below t bound
 
-let int_in t lo hi =
-  if hi < lo then invalid_arg "Rng.int_in: hi < lo";
-  lo + int t (hi - lo + 1)
-
 let float t = float_of_int (Xoshiro.bits53 t) *. 0x1.0p-53
-let bool t = Xoshiro.bit t = 1
 
 (* [float] is expanded by hand so the draw stays an unboxed compare —
    calling [float t] would box its result at the function return. *)
@@ -55,10 +50,6 @@ let shuffle_prefix t a k =
   done
 
 let shuffle t a = shuffle_prefix t a (Array.length a)
-
-let pick t a =
-  if Array.length a = 0 then invalid_arg "Rng.pick: empty array";
-  a.(int t (Array.length a))
 
 let distinct_into t ~bound ~k out =
   if k < 0 || k > bound then invalid_arg "Rng.distinct_into: k out of range";
@@ -81,8 +72,3 @@ let distinct t ~bound ~k =
   let out = Array.make (max k 1) 0 in
   let _ = distinct_into t ~bound ~k out in
   Array.sub out 0 k
-
-let permutation t n =
-  let a = Array.init n (fun i -> i) in
-  shuffle t a;
-  a

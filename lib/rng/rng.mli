@@ -6,8 +6,8 @@
     {!Xoshiro}256** seeded through SplitMix64; a stream is its 32-byte
     state of four unboxed [int64] words.
 
-    {!int}, {!int_in}, {!bool}, {!bernoulli}, {!distinct_into},
-    {!shuffle_prefix} and {!pick} allocate nothing per draw.
+    {!int}, {!bernoulli}, {!distinct_into} and {!shuffle_prefix}
+    allocate nothing per draw.
     {!bits64} returns a boxed [int64] and {!float} a boxed float (two
     words at the call boundary): a hot loop that only compares a
     uniform float against [p] calls {!bernoulli}. *)
@@ -39,15 +39,8 @@ val int : t -> int -> int
 (** [int t bound] is uniform on [\[0, bound)], without modulo bias.
     @raise Invalid_argument if [bound <= 0]. *)
 
-val int_in : t -> int -> int -> int
-(** [int_in t lo hi] is uniform on the inclusive range [\[lo, hi\]].
-    @raise Invalid_argument if [hi < lo]. *)
-
 val float : t -> float
 (** [float t] is uniform on [\[0, 1)] with 53 random bits. *)
-
-val bool : t -> bool
-(** [bool t] is a fair coin flip. *)
 
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is [true] with probability [p] ([p] clamped to
@@ -61,10 +54,6 @@ val shuffle_prefix : t -> 'a array -> int -> unit
     uniform order into [a.(0..k-1)] (partial Fisher–Yates); the rest of
     [a] holds the remaining elements in unspecified order.
     @raise Invalid_argument if [k < 0] or [k > Array.length a]. *)
-
-val pick : t -> 'a array -> 'a
-(** [pick t a] is a uniform element of [a].
-    @raise Invalid_argument if [a] is empty. *)
 
 val distinct : t -> bound:int -> k:int -> int array
 (** [distinct t ~bound ~k] is an array of [k] pairwise-distinct uniform
@@ -83,6 +72,3 @@ val distinct_into : t -> bound:int -> k:int -> int array -> int
     the identity array.
     @raise Invalid_argument if [k < 0], [k > bound] or
     [Array.length out < k]. *)
-
-val permutation : t -> int -> int array
-(** [permutation t n] is a uniform permutation of [0..n-1]. *)

@@ -18,10 +18,3 @@ val copy : t -> t
 
 val next : t -> int64
 (** [next t] advances the state and returns the next 64-bit output. *)
-
-val next_in : t -> int -> int
-(** [next_in t bound] is a uniform integer in [\[0, bound)].
-    @raise Invalid_argument if [bound <= 0]. *)
-
-val next_float : t -> float
-(** [next_float t] is a uniform float in [\[0, 1)] with 53 random bits. *)

@@ -31,7 +31,6 @@ let[@inline] step t =
 
 let bits62 t = Int64.to_int (Int64.shift_right_logical (step t) 2)
 let bits53 t = Int64.to_int (Int64.shift_right_logical (step t) 11)
-let bit t = Int64.to_int (step t) land 1
 let next t = step t
 
 (* The smallest all-ones mask covering [bound - 1] (at least 1), by

@@ -8,7 +8,7 @@
     written with the raw 64-bit load/store primitives. ocamlopt keeps
     an [int64] unboxed while it stays inside one function, so every
     accessor inlines the whole generator step and returns a tagged
-    [int]: {!bits62}, {!bits53}, {!bit}, {!below} and {!distinct_into}
+    [int]: {!bits62}, {!bits53}, {!below} and {!distinct_into}
     never allocate. Only {!next} returns a boxed [int64] (three minor words
     per call on non-flambda builds). Streams are bit-identical to the
     reference generator. *)
@@ -30,8 +30,8 @@ val copy : t -> t
 
 val next : t -> int64
 (** [next t] advances the state and returns 64 pseudo-random bits. The
-    returned [int64] is boxed; hot paths should prefer {!bits62},
-    {!bits53} or {!bit}. *)
+    returned [int64] is boxed; hot paths should prefer {!bits62} or
+    {!bits53}. *)
 
 val bits62 : t -> int
 (** [bits62 t] advances the state once and returns the top 62 bits of
@@ -43,11 +43,6 @@ val bits53 : t -> int
 (** [bits53 t] advances the state once and returns the top 53 bits of
     the same output [next] would have produced — the mantissa-sized
     slice used for unit-interval floats — without allocating. *)
-
-val bit : t -> int
-(** [bit t] advances the state once and returns the lowest bit (0 or 1)
-    of the same output [next] would have produced, without
-    allocating. *)
 
 val below : t -> int -> int
 (** [below t bound] is a uniform integer in [\[0, bound)], by rejection:

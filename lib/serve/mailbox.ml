@@ -25,8 +25,6 @@ let create ~capacity =
     high_water = 0;
   }
 
-let capacity t = t.capacity
-
 let with_lock t f =
   Mutex.lock t.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f

@@ -19,8 +19,6 @@ exception Closed
 val create : capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity < 1]. *)
 
-val capacity : 'a t -> int
-
 val length : 'a t -> int
 (** Current depth (racy by nature; exact at the instant sampled). *)
 

@@ -83,7 +83,6 @@ let violations t =
   Mutex.unlock t.mutex;
   v
 
-let violation_count t = t.violation_count
 let ok t = t.violation_count = 0
 
 (* --- the service invariants --- *)

@@ -41,8 +41,6 @@ val create : ?limit:int -> queue_bound:int -> restart_cap:int -> unit -> t
 val incr : t -> counter -> unit
 val count : t -> counter -> int
 
-val record : t -> check:string -> detail:string -> unit
-
 val observe_queue : t -> int -> unit
 (** Check a sampled queue depth against the bound. *)
 
@@ -60,8 +58,6 @@ val reconcile : t -> in_flight:int -> bool
     in_flight]. Records a violation and returns [false] on mismatch. *)
 
 val ok : t -> bool
-val violation_count : t -> int
-val violations : t -> violation list
 
 val to_json : t -> Rumor_obs.Json.t
 (** All counters plus [violations], [violation_list], [ok]. *)

@@ -88,7 +88,6 @@ val queue_length : t -> int
 val in_flight : t -> int
 (** Accepted, not yet terminal. *)
 
-val ewma_attempt_s : t -> float
 val monitor : t -> Monitor.t
 val latency : t -> Rumor_obs.Latency.t
 (** Histogram of submission-to-terminal latency. *)

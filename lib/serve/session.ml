@@ -201,16 +201,12 @@ let latency_s t =
    outside the regime the bound promises, and gets cancelled and
    retried on a fresh stream. *)
 
-let ceil_log2 n =
-  let rec go k p = if p >= n then k else go (k + 1) (p * 2) in
-  go 0 1
-
 let deadline_s ~deadline_factor ~round_budget_us spec =
   match spec.deadline_ms with
   | Some ms -> ms /. 1e3
   | None ->
       deadline_factor
-      *. float_of_int (ceil_log2 (max 2 spec.n))
+      *. float_of_int (Rumor_core.Params.ceil_log2 (max 2 spec.n))
       *. round_budget_us *. 1e-6
 
 (* --- attempt execution --- *)

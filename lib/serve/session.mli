@@ -36,7 +36,6 @@ val default_spec : spec
 (** [n 4096, d 8, push-pull on implicit-regular, seed 1, no faults]. *)
 
 val protocols : string list
-val topologies : string list
 
 val max_n : int
 (** Admission ceiling on [n] for materialised topologies ([2^20]) —
@@ -93,8 +92,6 @@ val is_terminal : t -> bool
 
 val latency_s : t -> float
 (** Submission-to-terminal wall time; 0 until terminal. *)
-
-val ceil_log2 : int -> int
 
 val deadline_s :
   deadline_factor:float -> round_budget_us:float -> spec -> float

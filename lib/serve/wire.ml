@@ -20,13 +20,18 @@ type request =
 
 let id_to_string id = Printf.sprintf "s-%d" id
 
+(* Only the form [id_to_string] prints: decimal digits without a leading
+   zero. [int_of_string] alone would also take OCaml literals such as
+   [0x10], [0b1], [1_0] or [+5] and answer for a different id. *)
 let id_of_string s =
-  match String.length s with
-  | l when l > 2 && String.sub s 0 2 = "s-" -> (
-      match int_of_string_opt (String.sub s 2 (l - 2)) with
-      | Some id when id > 0 -> Some id
-      | _ -> None)
-  | _ -> None
+  let l = String.length s in
+  if
+    l > 2
+    && String.sub s 0 2 = "s-"
+    && s.[2] <> '0'
+    && String.for_all (fun c -> c >= '0' && c <= '9') (String.sub s 2 (l - 2))
+  then int_of_string_opt (String.sub s 2 (l - 2))
+  else None
 
 (* --- field accessors over Json.t --- *)
 

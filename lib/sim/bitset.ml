@@ -133,8 +133,6 @@ let next_set t i =
     !result
   end
 
-let to_bool_array t = Array.init t.len (get t)
-
 let copy t = { bits = Bytes.copy t.bits; len = t.len }
 
 let blit ~src ~dst =

@@ -52,9 +52,6 @@ val next_set : t -> int -> int
     iterates without a separate end test.
     @raise Invalid_argument if [i < 0]. *)
 
-val to_bool_array : t -> bool array
-(** Expand to a [bool array] of [length] elements. *)
-
 val copy : t -> t
 (** An independent bitset with the same length and contents. *)
 

@@ -52,9 +52,6 @@ let create width n =
   let bytes = Bytes.make (((n lsl shift) + 7) land lnot 7) '\000' in
   { bytes; len = n; width; shift; max_value = max_of_width width }
 
-let length t = t.len
-let width t = t.width
-let bits t = bits_of_width t.width
 let max_value t = t.max_value
 
 let check t i op =
@@ -126,5 +123,3 @@ let fill t v =
       Bytes.set_int64_le t.bytes (w lsl 3) p
     done
   end
-
-let reset t = Bytes.fill t.bytes 0 (Bytes.length t.bytes) '\000'

@@ -21,13 +21,7 @@ type t
 val create : width -> int -> t
 (** [create w n] is [n] cells of width [w], all zero. The backing
     buffer is padded to a whole number of 64-bit words (unreachable
-    through the accessors) so {!fill} and {!reset} run word-parallel. *)
-
-val length : t -> int
-val width : t -> width
-
-val bits : t -> int
-(** The cell width in bits: 8, 16 or 32. *)
+    through the accessors) so {!fill} runs word-parallel. *)
 
 val max_value : t -> int
 (** Largest storable value: [2^bits - 1]. *)
@@ -56,6 +50,3 @@ val fill : t -> int -> unit
 (** Set every cell to the given value, 64 bits per store (a plain
     [memset] when the replicated pattern's bytes coincide). Range-checks
     the value like {!set}. *)
-
-val reset : t -> unit
-(** [fill t 0], always a [memset]. *)

@@ -87,8 +87,6 @@ let run_epochs ?fault ?collect_trace ?forget_on_recover ?reset ?on_round_end
   let k, stats =
     Kernel.run_epochs ?fault ?collect_trace ?forget_on_recover ?reset
       ?on_round_end ?skew ~max_epochs ?monitor ?packed ~rng ~topology ~protocol
-      ~repair:(fun ~epoch ~knows -> repair ~epoch ~knows:knows.(0))
-      ~tables:[| { Kernel.sources; created = 0 } |]
-      ()
+      ~repair ~table:{ Kernel.sources; created = 0 } ()
   in
   of_kernel ~repair:stats k

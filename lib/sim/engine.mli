@@ -32,7 +32,7 @@ type epoch_stat = Kernel.epoch_stat = {
   repair_channels : int;  (** channels the epoch opened *)
 }
 (** Accounting for one self-healing repair epoch (see {!run_epochs}).
-    Shared with {!Kernel.epoch_stat} (and so with [Multi.run_epochs]). *)
+    Shared with {!Kernel.epoch_stat}. *)
 
 type result = {
   rounds : int;  (** rounds actually executed (including repair epochs) *)
@@ -155,8 +155,7 @@ type 'st epoch_plan = 'st Kernel.epoch_plan = {
           schedules uninformed pulls (timeout + backoff) *)
 }
 (** One repair epoch's behaviour, built fresh per epoch by the strategy
-    callback of {!run_epochs}. Shared with {!Kernel.epoch_plan}, so the
-    same strategies drive [Multi.run_epochs]. *)
+    callback of {!run_epochs}. Shared with {!Kernel.epoch_plan}. *)
 
 val run_epochs :
   ?fault:Fault.t ->

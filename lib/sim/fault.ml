@@ -215,10 +215,6 @@ let begin_round ?on_recover ?on_crash rt ~rng ~round ~degree ~alive ~informed =
 let same_side rt u v =
   (not rt.cut_active) || Bitset.get rt.side u = Bitset.get rt.side v
 
-let partition_active rt = rt.cut_active
-
-let open_ok rt rng = channel_ok rt.plan rng
-
 let transmit_ok rt rng ~dir_loss ~sender =
   (Bitset.length rt.bad = 0 || not (Bitset.get rt.bad sender))
   && (rt.plan.link_loss = 0. || not (Rng.bernoulli rng rt.plan.link_loss))

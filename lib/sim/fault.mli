@@ -198,14 +198,8 @@ val same_side : runtime -> int -> int -> bool
 (** [same_side rt u v] — [u] and [v] can currently communicate across
     the partition: true whenever no window is open. Constant time. *)
 
-val partition_active : runtime -> bool
-(** Whether a partition window is currently open. *)
-
 val down_count : runtime -> int
 (** Number of currently crashed nodes. *)
-
-val open_ok : runtime -> Rumor_rng.Rng.t -> bool
-(** Sample whether a channel establishes. *)
 
 val push_ok : runtime -> Rumor_rng.Rng.t -> sender:int -> bool
 (** Sample whether a push transmission from [sender] survives

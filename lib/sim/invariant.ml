@@ -17,12 +17,9 @@ let record m ~check ~round ~detail =
     m.recorded <- { check; round; detail } :: m.recorded
 
 let tick m = m.checked <- m.checked + 1
-let ok m = m.total = 0
 let count m = m.total
 let rounds_checked m = m.checked
 let violations m = List.rev m.recorded
 
 let pp_violation ppf v =
   Format.fprintf ppf "%s (round %d): %s" v.check v.round v.detail
-
-let to_string v = Format.asprintf "%a" pp_violation v

@@ -46,9 +46,6 @@ val record : t -> check:string -> round:int -> detail:string -> unit
 val tick : t -> unit
 (** Count one checked round boundary (see {!rounds_checked}). *)
 
-val ok : t -> bool
-(** No violation recorded so far. *)
-
 val count : t -> int
 (** Total violations recorded, including ones dropped past [limit]. *)
 
@@ -59,6 +56,3 @@ val violations : t -> violation list
 (** Stored violations, oldest first. *)
 
 val pp_violation : Format.formatter -> violation -> unit
-
-val to_string : violation -> string
-(** ["check (round r): detail"] rendering of {!pp_violation}. *)

@@ -775,41 +775,33 @@ type 'st epoch_plan = {
 
 let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
     ?(forget_on_recover = false) ?reset ?on_round_end ?skew ?(max_epochs = 8)
-    ?monitor ?packed ~rng ~topology ~protocol ~repair ~tables () =
+    ?monitor ?packed ~rng ~topology ~protocol ~repair ~table () =
   if max_epochs < 0 then invalid_arg "Kernel.run_epochs: max_epochs < 0";
   let main =
     run ~fault:(Full fault) ~collect_trace ~forget_on_recover ?reset
-      ?on_round_end ?skew ?monitor ?packed ~rng ~topology ~protocol ~tables ()
+      ?on_round_end ?skew ?monitor ?packed ~rng ~topology ~protocol
+      ~tables:[| table |] ()
   in
   let cap = topology.Topology.capacity in
-  let nt = Array.length tables in
-  let knows = Array.init nt (fun j -> Bitset.copy main.tables.(j).knows) in
+  let knows = Bitset.copy main.tables.(0).knows in
   (* Nodes still down when a run stops would come back up under the next
      epoch's fresh fault runtime; with amnesia their knowledge is gone. *)
   let forget_down r =
-    if forget_on_recover then
-      List.iter
-        (fun v ->
-          for j = 0 to nt - 1 do
-            Bitset.clear knows.(j) v
-          done)
-        r.down
+    if forget_on_recover then List.iter (Bitset.clear knows) r.down
   in
   forget_down main;
   let live_census () =
-    let live = ref 0 and know = Array.make nt 0 in
+    let live = ref 0 and know = ref 0 in
     for v = 0 to cap - 1 do
       if topology.Topology.alive v then begin
         incr live;
-        for j = 0 to nt - 1 do
-          if Bitset.get knows.(j) v then know.(j) <- know.(j) + 1
-        done
+        if Bitset.get knows v then incr know
       end
     done;
-    (!live, know)
+    (!live, !know)
   in
-  let acc_push = Array.map (fun (t : table_result) -> t.push_tx) main.tables in
-  let acc_pull = Array.map (fun (t : table_result) -> t.pull_tx) main.tables in
+  let acc_push = ref main.tables.(0).push_tx in
+  let acc_pull = ref main.tables.(0).pull_tx in
   let stats = ref [] in
   let rounds = ref main.rounds in
   let chans = ref main.channels in
@@ -818,26 +810,17 @@ let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
   let continue = ref true in
   while !continue && !epoch < max_epochs do
     let live, know = live_census () in
-    (* A table is repairable when it still has both a live knower to
-       pull from and a live non-knower to reach; with none left —
-       covered, extinct, or an empty network — the loop is done. *)
-    let repairable = ref false in
-    if live > 0 then
-      for j = 0 to nt - 1 do
-        if know.(j) > 0 && know.(j) < live then repairable := true
-      done;
-    if not !repairable then continue := false
+    (* Repair needs both a live knower to pull from and a live
+       non-knower to reach; with none left — covered, extinct, or an
+       empty network — the loop is done. *)
+    if not (know > 0 && know < live) then continue := false
     else begin
       incr epoch;
-      let especs =
-        Array.init nt (fun j ->
-            let srcs = ref [] in
-            for v = cap - 1 downto 0 do
-              if topology.Topology.alive v && Bitset.get knows.(j) v then
-                srcs := v :: !srcs
-            done;
-            { sources = !srcs; created = 0 })
-      in
+      let srcs = ref [] in
+      for v = cap - 1 downto 0 do
+        if topology.Topology.alive v && Bitset.get knows v then
+          srcs := v :: !srcs
+      done;
       let plan = repair ~epoch:!epoch ~knows in
       (* Epochs fight the channel, not the reaper: communication faults
          (loss, call failure, bursts) stay on, while the node-dynamics
@@ -848,7 +831,9 @@ let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
       let r =
         run ~fault:(Full epoch_fault) ~forget_on_recover
           ~stop_when_complete:true ~gate:plan.epoch_gate ?monitor ?packed ~rng
-          ~topology ~protocol:plan.epoch_protocol ~tables:especs ()
+          ~topology ~protocol:plan.epoch_protocol
+          ~tables:[| { sources = !srcs; created = 0 } |]
+          ()
       in
       (match monitor with
       | None -> ()
@@ -865,26 +850,19 @@ let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
                    !epoch r.rounds plan.epoch_protocol.Protocol.horizon));
       (* The epoch restarted from every knower, so its final flags are
          the current truth (amnesia included): replace, don't merge. *)
-      let epoch_push = ref 0 and epoch_pull = ref 0 in
-      let epoch_informed = ref max_int in
-      for j = 0 to nt - 1 do
-        let t = r.tables.(j) in
-        Bitset.blit ~src:t.knows ~dst:knows.(j);
-        acc_push.(j) <- acc_push.(j) + t.push_tx;
-        acc_pull.(j) <- acc_pull.(j) + t.pull_tx;
-        epoch_push := !epoch_push + t.push_tx;
-        epoch_pull := !epoch_pull + t.pull_tx;
-        if t.informed < !epoch_informed then epoch_informed := t.informed
-      done;
+      let t = r.tables.(0) in
+      Bitset.blit ~src:t.knows ~dst:knows;
+      acc_push := !acc_push + t.push_tx;
+      acc_pull := !acc_pull + t.pull_tx;
       forget_down r;
       stats :=
         {
           epoch = !epoch;
           epoch_rounds = r.rounds;
-          epoch_informed = !epoch_informed;
+          epoch_informed = t.informed;
           epoch_population = r.population;
-          repair_push_tx = !epoch_push;
-          repair_pull_tx = !epoch_pull;
+          repair_push_tx = t.push_tx;
+          repair_pull_tx = t.pull_tx;
           repair_channels = r.channels;
         }
         :: !stats;
@@ -901,14 +879,15 @@ let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
       down = !down;
       trace = main.trace;
       tables =
-        Array.init nt (fun j ->
-            {
-              completion_round = main.tables.(j).completion_round;
-              informed = know.(j);
-              push_tx = acc_push.(j);
-              pull_tx = acc_pull.(j);
-              knows = knows.(j);
-            });
+        [|
+          {
+            completion_round = main.tables.(0).completion_round;
+            informed = know;
+            push_tx = !acc_push;
+            pull_tx = !acc_pull;
+            knows;
+          };
+        |];
     },
     List.rev !stats )
 

@@ -227,14 +227,12 @@ val run :
 
 (** {1 Repair epochs}
 
-    The self-healing loop of {!Engine.run_epochs}, generalised to any
-    table set. *)
+    The self-healing loop behind {!Engine.run_epochs}, on one table. *)
 
 type epoch_stat = {
   epoch : int;  (** 1-based repair epoch index *)
   epoch_rounds : int;  (** rounds the epoch executed *)
-  epoch_informed : int;
-      (** live nodes informed of {e every} table at the epoch's end *)
+  epoch_informed : int;  (** live knowers at the epoch's end *)
   epoch_population : int;  (** live nodes at the epoch's end *)
   repair_push_tx : int;  (** push transmissions spent by the epoch *)
   repair_pull_tx : int;  (** pull transmissions spent by the epoch *)
@@ -266,22 +264,21 @@ val run_epochs :
   rng:Rumor_rng.Rng.t ->
   topology:Topology.t ->
   protocol:'st Protocol.t ->
-  repair:(epoch:int -> knows:Bitset.t array -> 'r epoch_plan) ->
-  tables:table array ->
+  repair:(epoch:int -> knows:Bitset.t -> 'r epoch_plan) ->
+  table:table ->
   unit ->
   result * epoch_stat list
-(** Run the main schedule once (under [Full fault]), then — while some
-    table has a live knower and a live non-knower, and at most
-    [max_epochs] (default 8) times — ask [repair ~epoch ~knows] (one
-    [knows] bitset per table) for a fresh {!epoch_plan} and re-run the
-    kernel with every current knower of each table as that table's
-    sources and the plan's gate installed. Epochs keep the plan's
-    communication modes but drop [crash_rate] / [strike]; see
+(** Run the main schedule once on [table] (under [Full fault]), then —
+    while there is a live knower and a live non-knower, and at most
+    [max_epochs] (default 8) times — ask [repair ~epoch ~knows] for a
+    fresh {!epoch_plan} and re-run the kernel with every current knower
+    as the sources and the plan's gate installed. Epochs keep the
+    plan's communication modes but drop [crash_rate] / [strike]; see
     {!Engine.run_epochs} for the rationale, churn note and accounting.
-    The returned result aggregates rounds / transmissions / channels
-    across the main run and all epochs; [completion_round] per table is
-    the {e main} run's.
-    @raise Invalid_argument if [max_epochs < 0] or [tables] is empty. *)
+    The returned result has one table and aggregates rounds /
+    transmissions / channels across the main run and all epochs; its
+    [completion_round] is the {e main} run's.
+    @raise Invalid_argument if [max_epochs < 0]. *)
 
 (** {1 Asynchronous driver} *)
 

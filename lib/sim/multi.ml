@@ -15,7 +15,6 @@ type result = {
   channels : int;
   population : int;
   messages : message_result array;
-  repair : Kernel.epoch_stat list;
   trace : Trace.t option;
 }
 
@@ -42,7 +41,7 @@ let tables_of messages =
        (fun m -> { Kernel.sources = [ m.source ]; created = m.created })
        messages)
 
-let of_kernel ~repair (k : Kernel.result) =
+let of_kernel (k : Kernel.result) =
   {
     rounds = k.Kernel.rounds;
     channels = k.Kernel.channels;
@@ -56,26 +55,13 @@ let of_kernel ~repair (k : Kernel.result) =
             transmissions = t.Kernel.push_tx + t.Kernel.pull_tx;
           })
         k.Kernel.tables;
-    repair;
     trace = k.Kernel.trace;
   }
 
 let run ?(fault = Fault.none) ?collect_trace ?on_round_end ?reset ?monitor
     ?packed ~rng ~topology ~protocol ~messages () =
   validate ~topology messages;
-  of_kernel ~repair:[]
+  of_kernel
     (Kernel.run ~fault:(Kernel.Stateless fault) ?collect_trace ?on_round_end
        ?reset ?monitor ?packed ~rng ~topology ~protocol
        ~tables:(tables_of messages) ())
-
-let run_epochs ?fault ?collect_trace ?forget_on_recover ?on_round_end ?reset
-    ?(max_epochs = 8) ?monitor ?packed ~rng ~topology ~protocol ~repair
-    ~messages () =
-  if max_epochs < 0 then invalid_arg "Multi.run_epochs: max_epochs < 0";
-  validate ~topology messages;
-  let k, stats =
-    Kernel.run_epochs ?fault ?collect_trace ?forget_on_recover ?on_round_end
-      ?reset ~max_epochs ?monitor ?packed ~rng ~topology ~protocol ~repair
-      ~tables:(tables_of messages) ()
-  in
-  of_kernel ~repair:stats k

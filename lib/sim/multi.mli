@@ -29,9 +29,6 @@ type result = {
   channels : int;  (** channels opened — shared by all rumors *)
   population : int;  (** live nodes at the end *)
   messages : message_result array;  (** indexed like the input list *)
-  repair : Kernel.epoch_stat list;
-      (** per-epoch repair accounting, oldest first; [[]] for plain
-          {!run} results *)
   trace : Trace.t option;
       (** per-round rows when requested ([informed] / [newly] sum over
           rumors) *)
@@ -69,32 +66,3 @@ val run :
     forget {e every} rumor.
     @raise Invalid_argument if [messages] is empty or a source is dead
     or out of range. *)
-
-val run_epochs :
-  ?fault:Fault.t ->
-  ?collect_trace:bool ->
-  ?forget_on_recover:bool ->
-  ?on_round_end:(int -> unit) ->
-  ?reset:(unit -> int list) ->
-  ?max_epochs:int ->
-  ?monitor:Invariant.t ->
-  ?packed:bool ->
-  rng:Rumor_rng.Rng.t ->
-  topology:Topology.t ->
-  protocol:'st Protocol.t ->
-  repair:(epoch:int -> knows:Bitset.t array -> 'r Kernel.epoch_plan) ->
-  messages:message list ->
-  unit ->
-  result
-(** Self-healing repair epochs for a multi-rumor workload
-    ({!Kernel.run_epochs}; the analogue of {!Engine.run_epochs}).
-    Unlike {!run}, the main schedule and every epoch drive the whole
-    plan through a fault runtime, so burst and crash modes apply.
-    [repair] receives one [knows] bitset per message (indexed like
-    [messages]); each epoch restarts every rumor from all its current
-    knowers with the plan's gate installed. The result aggregates
-    rounds / channels / per-rumor transmissions across the main run
-    and all epochs; [repair] holds one {!Kernel.epoch_stat} per epoch
-    ([epoch_informed] counts nodes informed of {e every} rumor).
-    @raise Invalid_argument if [max_epochs < 0] or [messages] is
-    invalid for {!run}. *)

@@ -254,19 +254,3 @@ let implicit_chords ~seed ~n ~d =
     alive = (fun _ -> true);
     live_count = Some (fun () -> n);
   }
-
-let to_graph t =
-  let b = Rumor_graph.Builder.create ~capacity:(max t.capacity 1) ~n:t.capacity () in
-  for v = 0 to t.capacity - 1 do
-    if t.alive v then begin
-      let d = t.degree v in
-      for i = 0 to d - 1 do
-        let w = t.neighbor v i in
-        (* A symmetric view lists every edge from both endpoints; keep
-           the copy seen from the smaller id (all copies, for
-           multi-edges). *)
-        if v < w then Rumor_graph.Builder.add_edge b v w
-      done
-    end
-  done;
-  Rumor_graph.Builder.build b

@@ -113,12 +113,3 @@ val implicit_chords : seed:int -> n:int -> d:int -> t
     for [i] outside [0 .. d - 1].
     @raise Invalid_argument if [n < 3], [n > 2^32], [d < 2], or
     [d > 2] with [n] odd. *)
-
-val to_graph : t -> Rumor_graph.Graph.t
-(** Materialise a {e symmetric} topology view as a CSR graph (each
-    undirected edge kept once from its smaller endpoint, self-loops
-    dropped, dead nodes isolated). Intended for differential tests and
-    small-n inspection — it is exactly the O(capacity · d) cost the
-    implicit views exist to avoid, so don't call it at scale. The CSR
-    neighbour {e order} generally differs from the view's; compare
-    adjacency multisets, not sequences. *)

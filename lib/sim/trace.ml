@@ -35,17 +35,6 @@ let pp_row ppf r =
   Format.fprintf ppf "%5d %9d %8d %9d %9d %9d" r.round r.informed r.newly
     r.push_tx r.pull_tx r.channels
 
-let to_csv t =
-  let buf = Buffer.create (64 * (t.len + 1)) in
-  Buffer.add_string buf "round,informed,newly,push_tx,pull_tx,channels\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string buf
-        (Printf.sprintf "%d,%d,%d,%d,%d,%d\n" r.round r.informed r.newly
-           r.push_tx r.pull_tx r.channels))
-    (rows t);
-  Buffer.contents buf
-
 let informed_series t =
   Array.init t.len (fun i -> float_of_int t.rows.(i).informed)
 

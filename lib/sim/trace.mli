@@ -20,14 +20,8 @@ val get : t -> int -> row
 val rows : t -> row list
 (** Rows in round order. *)
 
-val pp_row : Format.formatter -> row -> unit
 val pp : Format.formatter -> t -> unit
 (** Render the whole trace as an aligned table. *)
-
-val to_csv : t -> string
-(** Comma-separated rendering with a header line
-    [round,informed,newly,push_tx,pull_tx,channels] — for external
-    plotting. *)
 
 val informed_series : t -> float array
 (** The informed count per round, as floats (sparkline / fit input). *)

@@ -128,10 +128,3 @@ let replicate_parallel ?domains ~seed ~reps f =
 let summarize ~seed ~reps f = Summary.of_list (replicate ~seed ~reps f)
 
 let mean_of ~seed ~reps f = (summarize ~seed ~reps f).Summary.mean
-
-let success_rate ~seed ~reps f =
-  let results = replicate ~seed ~reps f in
-  let hits =
-    List.fold_left (fun acc ok -> if ok then acc + 1 else acc) 0 results
-  in
-  float_of_int hits /. float_of_int (max 1 (List.length results))

@@ -87,8 +87,3 @@ val summarize :
 val mean_of :
   seed:int -> reps:int -> (Rumor_rng.Rng.t -> float) -> float
 (** Shorthand for [(summarize ...).mean]. *)
-
-val success_rate :
-  seed:int -> reps:int -> (Rumor_rng.Rng.t -> bool) -> float
-(** Fraction of repetitions returning [true] (of the completed subset
-    under interruption). *)

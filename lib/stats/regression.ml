@@ -22,17 +22,6 @@ let linear points =
   let r2 = if syy = 0. then 1. else sxy *. sxy /. (sxx *. syy) in
   { slope; intercept; r2 }
 
-let loglog points =
-  let mapped =
-    List.map
-      (fun (x, y) ->
-        if x <= 0. || y <= 0. then
-          invalid_arg "Regression.loglog: non-positive data";
-        (log x, log y))
-      points
-  in
-  linear mapped
-
 let semilogx points =
   let lg2 = log 2. in
   let mapped =

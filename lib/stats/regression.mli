@@ -13,12 +13,6 @@ val linear : (float * float) list -> fit
     @raise Invalid_argument with fewer than 2 points or zero variance
     in [x]. *)
 
-val loglog : (float * float) list -> fit
-(** [loglog points] fits [log y = slope * log x + intercept] — the
-    slope is the power-law exponent. Points with non-positive
-    coordinates are rejected.
-    @raise Invalid_argument as {!linear}, or on non-positive data. *)
-
 val semilogx : (float * float) list -> fit
 (** [semilogx points] fits [y = slope * log2 x + intercept]: slope is
     the "per doubling of x" growth — the natural scale for

@@ -29,8 +29,6 @@ let render data =
         Buffer.contents buf
   end
 
-let render_ints data = render (Array.map float_of_int data)
-
 let with_scale data =
   if Array.length data = 0 then ""
   else begin

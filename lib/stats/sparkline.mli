@@ -5,8 +5,5 @@ val render : float array -> string
     (▁ .. █), scaled to the data's range; a constant series renders as
     mid-height blocks, the empty array as [""]. NaNs render as spaces. *)
 
-val render_ints : int array -> string
-(** Integer convenience wrapper. *)
-
 val with_scale : float array -> string
 (** ["min [spark] max"] — the sparkline bracketed by its range. *)

@@ -45,7 +45,6 @@ let of_array sample =
   }
 
 let of_list l = of_array (Array.of_list l)
-let of_ints l = of_list (List.map float_of_int l)
 
 let ci95_halfwidth t =
   if t.count < 2 then 0. else 1.96 *. t.stddev /. sqrt (float_of_int t.count)

@@ -18,9 +18,6 @@ val of_array : float array -> t
 val of_list : float list -> t
 (** List version of {!of_array}. *)
 
-val of_ints : int list -> t
-(** Convenience for integer observations. *)
-
 val percentile : float array -> float -> float
 (** [percentile sorted q] with [q] in [\[0, 1\]] interpolates linearly
     in an already-sorted array.

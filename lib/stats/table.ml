@@ -15,9 +15,6 @@ let add_row t row =
     invalid_arg "Table.add_row: width mismatch";
   t.rows <- row :: t.rows
 
-let add_float_row t ?(decimals = 2) row =
-  add_row t (List.map (fun x -> Printf.sprintf "%.*f" decimals x) row)
-
 let render t =
   let rows = List.rev t.rows in
   let widths =

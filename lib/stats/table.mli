@@ -12,9 +12,6 @@ val add_row : t -> string list -> unit
 (** Append a row.
     @raise Invalid_argument if the width differs from the header. *)
 
-val add_float_row : t -> ?decimals:int -> float list -> unit
-(** Format every cell with [decimals] (default 2) fraction digits. *)
-
 val render : t -> string
 (** The table as a string with aligned columns and a separator line. *)
 

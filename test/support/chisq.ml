@@ -1,3 +1,6 @@
+(* Chi-square goodness-of-fit tests: the oracle for the distribution-shape
+   tests of Rng and Dist. *)
+
 type outcome = {
   statistic : float;
   dof : int;

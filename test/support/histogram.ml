@@ -1,3 +1,5 @@
+(* Fixed-width histograms. *)
+
 type t = { lo : float; hi : float; cells : int array; mutable total : int }
 
 let create ~lo ~hi ~bins =

@@ -1,3 +1,6 @@
+(* Empirical checks of the Expander-Mixing Lemma on sampled vertex sets
+   of generated graphs. *)
+
 module Rng = Rumor_rng.Rng
 
 type sample = {

@@ -1,3 +1,6 @@
+(* Special functions (erf, log-gamma, regularized gamma, incomplete beta)
+   behind Chisq and Ttest, accurate to about 1e-7. *)
+
 let erf x =
   let sign = if x < 0. then -1. else 1. in
   let x = abs_float x in

@@ -1,3 +1,5 @@
+(* Welch's two-sample t-test. *)
+
 type outcome = {
   t_stat : float;
   dof : float;

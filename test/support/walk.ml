@@ -1,3 +1,6 @@
+(* Random walks on graphs: a mixed walk on a regular graph ends at an
+   almost-uniform vertex, which tests check on generated instances. *)
+
 module Rng = Rumor_rng.Rng
 
 let step rng g v =

@@ -1,9 +1,9 @@
 (* Tests for trace analytics and the shipped scenario files. *)
 
-module Rng = Rumor_rng.Rng
+module Rng = Rumor_test_support.Rng
 module Regular = Rumor_gen.Regular
 module Engine = Rumor_sim.Engine
-module Trace = Rumor_sim.Trace
+module Trace = Rumor_test_support.Trace
 module Params = Rumor_core.Params
 module Phase = Rumor_core.Phase
 module Algorithm = Rumor_core.Algorithm

@@ -1,9 +1,9 @@
 (* Tests for the rumor_core library: parameters, phase schedules, the
    paper's Algorithms 1 & 2, and the baseline protocols. *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
-module Classic = Rumor_gen.Classic
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
+module Classic = Rumor_test_support.Classic
 module Regular = Rumor_gen.Regular
 module Protocol = Rumor_sim.Protocol
 module Selector = Rumor_sim.Selector

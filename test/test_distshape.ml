@@ -6,9 +6,9 @@
    false-failure probability per test is ~1%, and the seeds are fixed,
    so the suite is deterministic. *)
 
-module Rng = Rumor_rng.Rng
-module Dist = Rumor_rng.Dist
-module Chisq = Rumor_stats.Chisq
+module Rng = Rumor_test_support.Rng
+module Dist = Rumor_test_support.Dist
+module Chisq = Rumor_test_support.Chisq
 
 let log_fact =
   let memo = Hashtbl.create 64 in

@@ -1,13 +1,13 @@
 (* Edge cases of the engine on degenerate and multigraph topologies:
    self-loops, parallel edges, tiny graphs, and accounting identities. *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
-module Classic = Rumor_gen.Classic
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
+module Classic = Rumor_test_support.Classic
 module Regular = Rumor_gen.Regular
 module Engine = Rumor_sim.Engine
-module Topology = Rumor_sim.Topology
-module Trace = Rumor_sim.Trace
+module Topology = Rumor_test_support.Topology
+module Trace = Rumor_test_support.Trace
 module Protocol = Rumor_sim.Protocol
 module Params = Rumor_core.Params
 module Algorithm = Rumor_core.Algorithm
@@ -72,7 +72,7 @@ let test_pairing_model_graph_end_to_end () =
   for seed = 1 to 5 do
     let rng = Rng.create (100 + seed) in
     let g = Regular.sample ~rng ~n:512 ~d:6 Regular.Pairing in
-    if Rumor_graph.Traversal.is_connected g then begin
+    if Rumor_test_support.Traversal.is_connected g then begin
       let params = Params.make ~alpha:2.0 ~n_estimate:512 ~d:6 () in
       let res = Run.once ~rng ~graph:g ~protocol:(Algorithm.make params) ~source:0 () in
       Alcotest.(check bool)

@@ -2,15 +2,15 @@
    the multi-message runner, clock skew, size estimation, overlay
    bootstrap, small-world graphs and Welch's t-test. *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
-module Traversal = Rumor_graph.Traversal
-module Classic = Rumor_gen.Classic
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
+module Traversal = Rumor_test_support.Traversal
+module Classic = Rumor_test_support.Classic
 module Regular = Rumor_gen.Regular
 module Smallworld = Rumor_gen.Smallworld
 module Engine = Rumor_sim.Engine
 module Multi = Rumor_sim.Multi
-module Topology = Rumor_sim.Topology
+module Topology = Rumor_test_support.Topology
 module Params = Rumor_core.Params
 module Algorithm = Rumor_core.Algorithm
 module Baselines = Rumor_core.Baselines
@@ -19,8 +19,8 @@ module Run = Rumor_core.Run
 module Overlay = Rumor_p2p.Overlay
 module Estimator = Rumor_p2p.Estimator
 module Bootstrap = Rumor_p2p.Bootstrap
-module Summary = Rumor_stats.Summary
-module Ttest = Rumor_stats.Ttest
+module Summary = Rumor_test_support.Summary
+module Ttest = Rumor_test_support.Ttest
 
 (* --- Median counter --- *)
 
@@ -241,7 +241,7 @@ let test_skew_delays_unstarted_nodes () =
   match res.Engine.trace with
   | None -> Alcotest.fail "trace missing"
   | Some t ->
-      let at_500 = (Rumor_sim.Trace.get t 499).Rumor_sim.Trace.informed in
+      let at_500 = (Rumor_test_support.Trace.get t 499).Rumor_test_support.Trace.informed in
       Alcotest.(check bool)
         (Printf.sprintf "only source pushes before clocks start (%d)" at_500)
         true (at_500 <= 11);
@@ -400,7 +400,7 @@ let test_ttest_same_distribution () =
   let rng = Rng.create 27 in
   let draw () =
     Summary.of_list
-      (List.init 50 (fun _ -> Rumor_rng.Dist.normal rng ~mu:10. ~sigma:2.))
+      (List.init 50 (fun _ -> Rumor_test_support.Dist.normal rng ~mu:10. ~sigma:2.))
   in
   let o = Ttest.welch (draw ()) (draw ()) in
   Alcotest.(check bool)
@@ -411,7 +411,7 @@ let test_ttest_different_means () =
   let rng = Rng.create 28 in
   let draw mu =
     Summary.of_list
-      (List.init 50 (fun _ -> Rumor_rng.Dist.normal rng ~mu ~sigma:1.))
+      (List.init 50 (fun _ -> Rumor_test_support.Dist.normal rng ~mu ~sigma:1.))
   in
   let o = Ttest.welch (draw 0.) (draw 5.) in
   Alcotest.(check bool) "clearly different" true o.Ttest.significant;
@@ -456,11 +456,11 @@ let prop_ttest_symmetry =
     (fun (s1, s2) ->
       let rng1 = Rng.create (s1 + 1) and rng2 = Rng.create (s2 + 100000) in
       let a =
-        Summary.of_list (List.init 10 (fun _ -> Rumor_rng.Rng.float rng1))
+        Summary.of_list (List.init 10 (fun _ -> Rumor_test_support.Rng.float rng1))
       in
       let b =
         Summary.of_list
-          (List.init 10 (fun _ -> 2. *. Rumor_rng.Rng.float rng2))
+          (List.init 10 (fun _ -> 2. *. Rumor_test_support.Rng.float rng2))
       in
       let ab = Ttest.welch a b and ba = Ttest.welch b a in
       abs_float (ab.Ttest.t_stat +. ba.Ttest.t_stat) < 1e-9

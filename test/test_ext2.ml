@@ -2,21 +2,21 @@
    walks, graph serialisation, walk-based local joins, trace export and
    sparklines. *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
-module Walk = Rumor_graph.Walk
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
+module Walk = Rumor_test_support.Walk
 module Io = Rumor_graph.Io
-module Classic = Rumor_gen.Classic
+module Classic = Rumor_test_support.Classic
 module Regular = Rumor_gen.Regular
 module Async = Rumor_sim.Async
-module Trace = Rumor_sim.Trace
+module Trace = Rumor_test_support.Trace
 module Params = Rumor_core.Params
 module Algorithm = Rumor_core.Algorithm
 module Baselines = Rumor_core.Baselines
 module Run = Rumor_core.Run
 module Overlay = Rumor_p2p.Overlay
-module Churn = Rumor_p2p.Churn
-module Sparkline = Rumor_stats.Sparkline
+module Churn = Rumor_test_support.Churn
+module Sparkline = Rumor_test_support.Sparkline
 
 (* --- Async engine --- *)
 

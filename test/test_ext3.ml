@@ -2,17 +2,17 @@
    tree-likeness), special functions, chi-square tests, ASCII plots and
    network partitions. *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
 module Structure = Rumor_graph.Structure
-module Traversal = Rumor_graph.Traversal
-module Classic = Rumor_gen.Classic
+module Traversal = Rumor_test_support.Traversal
+module Classic = Rumor_test_support.Classic
 module Regular = Rumor_gen.Regular
 module Engine = Rumor_sim.Engine
 module Overlay = Rumor_p2p.Overlay
 module Partition = Rumor_p2p.Partition
-module Special = Rumor_stats.Special
-module Chisq = Rumor_stats.Chisq
+module Special = Rumor_test_support.Special
+module Chisq = Rumor_test_support.Chisq
 module Plot = Rumor_stats.Plot
 
 let rng0 () = Rng.create 1
@@ -154,7 +154,7 @@ let test_chisq_walk_mixing () =
   let rng = Rng.create 4 in
   let g = Regular.sample_connected ~rng ~n:64 ~d:8 Regular.Pairing in
   let counts =
-    Rumor_graph.Walk.endpoint_counts rng g ~start:0 ~length:60 ~samples:64_000
+    Rumor_test_support.Walk.endpoint_counts rng g ~start:0 ~length:60 ~samples:64_000
   in
   let o = Chisq.uniform counts in
   Alcotest.(check bool)
@@ -228,7 +228,7 @@ let test_partition_disconnects () =
   Alcotest.(check bool) "cut nonempty" true (Partition.cut_size p > 0);
   let g = Overlay.snapshot o in
   let halves_disconnected =
-    let d = Rumor_graph.Traversal.bfs g 0 in
+    let d = Rumor_test_support.Traversal.bfs g 0 in
     let reaches_other = ref false in
     for v = 64 to 127 do
       if d.(v) >= 0 then reaches_other := true

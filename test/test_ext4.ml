@@ -2,18 +2,18 @@
    the Demers rumor-mongering variants, scenario files, and parallel
    experiment replication. *)
 
-module Rng = Rumor_rng.Rng
-module Classic = Rumor_gen.Classic
+module Rng = Rumor_test_support.Rng
+module Classic = Rumor_test_support.Classic
 module Regular = Rumor_gen.Regular
 module Protocol = Rumor_sim.Protocol
 module Selector = Rumor_sim.Selector
 module Engine = Rumor_sim.Engine
-module Topology = Rumor_sim.Topology
+module Topology = Rumor_test_support.Topology
 module Feedback = Rumor_core.Feedback
 module Baselines = Rumor_core.Baselines
 module Run = Rumor_core.Run
 module Scenario = Rumor_cli.Scenario
-module Experiment = Rumor_stats.Experiment
+module Experiment = Rumor_test_support.Experiment
 
 (* --- the feedback hook itself --- *)
 
@@ -232,7 +232,7 @@ let test_scenario_run () =
   in
   let report = Scenario.run scenario in
   Alcotest.(check (float 1e-9)) "succeeds" 1. report.Scenario.success_rate;
-  Alcotest.(check int) "reps recorded" 2 report.Scenario.tx_per_node.Rumor_stats.Summary.count;
+  Alcotest.(check int) "reps recorded" 2 report.Scenario.tx_per_node.Rumor_test_support.Summary.count;
   let rendered = Format.asprintf "%a" Scenario.pp_report report in
   Alcotest.(check bool) "report renders" true (String.length rendered > 0)
 
@@ -256,7 +256,7 @@ let test_parallel_matches_sequential () =
   let f rng =
     (* A measurement with enough randomness to expose stream mixups. *)
     let g = Regular.sample ~rng ~n:64 ~d:4 Regular.Pairing in
-    (Rumor_graph.Graph.m g, Rng.int rng 1_000_000)
+    (Rumor_test_support.Graph.m g, Rng.int rng 1_000_000)
   in
   let seq = Experiment.replicate ~seed:13 ~reps:9 f in
   let par = Experiment.replicate_parallel ~domains:4 ~seed:13 ~reps:9 f in

@@ -2,15 +2,15 @@
    asymmetric per-direction loss, crash schedules and adversarial
    strikes, plus the bit-identity guarantee of [Fault.none]. *)
 
-module Rng = Rumor_rng.Rng
-module Classic = Rumor_gen.Classic
-module Topology = Rumor_sim.Topology
+module Rng = Rumor_test_support.Rng
+module Classic = Rumor_test_support.Classic
+module Topology = Rumor_test_support.Topology
 module Fault = Rumor_sim.Fault
 module Selector = Rumor_sim.Selector
 module Protocol = Rumor_sim.Protocol
 module Engine = Rumor_sim.Engine
 module Async = Rumor_sim.Async
-module Repair = Rumor_core.Repair
+module Repair = Rumor_test_support.Repair
 
 let pusher ?(push = true) ?(pull = false) ~horizon () =
   {

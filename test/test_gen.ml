@@ -2,14 +2,14 @@
    graphs, G(n,p), classic families, products and preferential
    attachment. *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
 module Builder = Rumor_graph.Builder
-module Traversal = Rumor_graph.Traversal
+module Traversal = Rumor_test_support.Traversal
 module Config_model = Rumor_gen.Config_model
 module Regular = Rumor_gen.Regular
-module Gnp = Rumor_gen.Gnp
-module Classic = Rumor_gen.Classic
+module Gnp = Rumor_test_support.Gnp
+module Classic = Rumor_test_support.Classic
 module Product = Rumor_gen.Product
 module Preferential = Rumor_gen.Preferential
 
@@ -223,7 +223,7 @@ let test_product_k2_k2 () =
   Alcotest.(check (option int)) "2-regular" (Some 2) (Graph.is_regular g);
   Alcotest.(check bool) "connected" true (Traversal.is_connected g);
   Alcotest.(check int) "girth-4: no triangles" 0
-    (Rumor_graph.Metrics.triangles_at g 0)
+    (Rumor_test_support.Metrics.triangles_at g 0)
 
 let test_product_regularity () =
   let rng = Rng.create 16 in

@@ -8,10 +8,10 @@
    statistical tests still pass. Update the constants (only) alongside
    an intentional behavioural change. *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
 module Regular = Rumor_gen.Regular
-module Classic = Rumor_gen.Classic
+module Classic = Rumor_test_support.Classic
 module Engine = Rumor_sim.Engine
 module Params = Rumor_core.Params
 module Algorithm = Rumor_core.Algorithm

@@ -7,19 +7,19 @@
    [Experiment.replicate_parallel] must likewise agree element-for-element
    with sequential [replicate] for every domain count. *)
 
-module Rng = Rumor_rng.Rng
-module Bitset = Rumor_sim.Bitset
+module Rng = Rumor_test_support.Rng
+module Bitset = Rumor_test_support.Bitset
 module Regular = Rumor_gen.Regular
 module Params = Rumor_core.Params
 module Algorithm = Rumor_core.Algorithm
 module Run = Rumor_core.Run
 module Engine = Rumor_sim.Engine
-module Topology = Rumor_sim.Topology
+module Topology = Rumor_test_support.Topology
 module Fault = Rumor_sim.Fault
 module Multi = Rumor_sim.Multi
 module Async = Rumor_sim.Async
-module Repair = Rumor_core.Repair
-module Experiment = Rumor_stats.Experiment
+module Repair = Rumor_test_support.Repair
+module Experiment = Rumor_test_support.Experiment
 
 (* --- Bitset --- *)
 

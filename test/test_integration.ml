@@ -1,19 +1,19 @@
 (* Cross-library integration tests: miniature versions of the paper's
    claims (the full-scale versions live in bench/main.ml). *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
 module Regular = Rumor_gen.Regular
 module Product = Rumor_gen.Product
 module Engine = Rumor_sim.Engine
-module Trace = Rumor_sim.Trace
+module Trace = Rumor_test_support.Trace
 module Params = Rumor_core.Params
 module Phase = Rumor_core.Phase
 module Algorithm = Rumor_core.Algorithm
 module Baselines = Rumor_core.Baselines
 module Run = Rumor_core.Run
-module Experiment = Rumor_stats.Experiment
-module Summary = Rumor_stats.Summary
+module Experiment = Rumor_test_support.Experiment
+module Summary = Rumor_test_support.Summary
 
 let mean_tx_per_node ~protocol ~stop ~n ~d ~reps ~seed =
   Experiment.mean_of ~seed ~reps (fun rng ->

@@ -31,8 +31,8 @@
    Plus churn-hook smoke tests for the hook surface Multi/Async gained
    from the kernel. *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
 module Regular = Rumor_gen.Regular
 module Engine = Rumor_sim.Engine
 module Multi = Rumor_sim.Multi
@@ -40,8 +40,8 @@ module Async = Rumor_sim.Async
 module Fault = Rumor_sim.Fault
 module Selector = Rumor_sim.Selector
 module Protocol = Rumor_sim.Protocol
-module Topology = Rumor_sim.Topology
-module Trace = Rumor_sim.Trace
+module Topology = Rumor_test_support.Topology
+module Trace = Rumor_test_support.Trace
 module Baselines = Rumor_core.Baselines
 module Algorithm = Rumor_core.Algorithm
 module Params = Rumor_core.Params
@@ -288,7 +288,7 @@ let same_engine_ref (e : Engine.result) (f : Ref_engine.result) =
   && e.Engine.push_tx = f.Ref_engine.push_tx
   && e.Engine.pull_tx = f.Ref_engine.pull_tx
   && e.Engine.channels = f.Ref_engine.channels
-  && Rumor_sim.Bitset.to_bool_array e.Engine.knows = f.Ref_engine.knows
+  && Rumor_test_support.Bitset.to_bool_array e.Engine.knows = f.Ref_engine.knows
   && e.Engine.down = f.Ref_engine.down
 
 let same_engine_engine (a : Engine.result) (b : Engine.result) =

@@ -4,12 +4,12 @@
    modes, quick-mode patching, gate evaluation, execution equivalence
    with Scenario.run, and the bench-document validator/differ. *)
 
-module Rng = Rumor_rng.Rng
+module Rng = Rumor_test_support.Rng
 module Scenario = Rumor_cli.Scenario
 module Matrix = Rumor_cli.Matrix
-module Experiment = Rumor_stats.Experiment
+module Experiment = Rumor_test_support.Experiment
 module Engine = Rumor_sim.Engine
-module Json = Rumor_obs.Json
+module Json = Rumor_test_support.Json
 module Benchdoc = Rumor_obs.Benchdoc
 
 let contains s sub =
@@ -270,10 +270,10 @@ let test_run_matches_scenario_run () =
       let direct = Scenario.run { scenario with domains = 1 } in
       let m k = List.assoc k o.Matrix.metrics in
       Alcotest.(check (Alcotest.float 1e-12))
-        "coverage" direct.Scenario.coverage.Rumor_stats.Summary.mean
+        "coverage" direct.Scenario.coverage.Rumor_test_support.Summary.mean
         (m "coverage");
       Alcotest.(check (Alcotest.float 1e-12))
-        "tx_per_node" direct.Scenario.tx_per_node.Rumor_stats.Summary.mean
+        "tx_per_node" direct.Scenario.tx_per_node.Rumor_test_support.Summary.mean
         (m "tx_per_node");
       Alcotest.(check int) "reps" 3 o.Matrix.reps_done;
       (* gates evaluated on the metrics *)
@@ -435,7 +435,7 @@ let test_all_crashed_tx_per_node () =
   | Ok s ->
       let r = Scenario.run { s with Scenario.domains = 1 } in
       Alcotest.(check (Alcotest.float 0.))
-        "rumor run" 0. r.Scenario.tx_per_node.Rumor_stats.Summary.mean);
+        "rumor run" 0. r.Scenario.tx_per_node.Rumor_test_support.Summary.mean);
   match Matrix.run ~domains:1 (spec_exn text) with
   | Error e -> Alcotest.failf "run: %s" e
   | Ok r ->

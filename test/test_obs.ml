@@ -1,11 +1,11 @@
 (* Tests for the rumor_obs telemetry library: JSON encoding/escaping,
    the parser round-trip, metric spans and the result serializers. *)
 
-module Json = Rumor_obs.Json
-module Metrics = Rumor_obs.Metrics
+module Json = Rumor_test_support.Json
+module Metrics = Rumor_test_support.Obs_metrics
 module Encode = Rumor_obs.Encode
-module Summary = Rumor_stats.Summary
-module Trace = Rumor_sim.Trace
+module Summary = Rumor_test_support.Summary
+module Trace = Rumor_test_support.Trace
 
 (* --- encoding --- *)
 
@@ -145,8 +145,8 @@ let test_summary_schema () =
     (Option.bind (Json.member "count" j) Json.to_int)
 
 let test_engine_result_schema () =
-  let rng = Rumor_rng.Rng.create 7 in
-  let g = Rumor_gen.Classic.complete 32 in
+  let rng = Rumor_test_support.Rng.create 7 in
+  let g = Rumor_test_support.Classic.complete 32 in
   let res =
     Rumor_core.Run.once ~stop_when_complete:true ~rng ~graph:g
       ~protocol:(Rumor_core.Baselines.push ~horizon:100 ())

@@ -1,14 +1,14 @@
 (* Tests for the rumor_p2p library: dynamic overlays, degree-preserving
    churn, the edge-switch chain, and the replicated database. *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
-module Traversal = Rumor_graph.Traversal
-module Classic = Rumor_gen.Classic
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
+module Traversal = Rumor_test_support.Traversal
+module Classic = Rumor_test_support.Classic
 module Regular = Rumor_gen.Regular
 module Engine = Rumor_sim.Engine
 module Overlay = Rumor_p2p.Overlay
-module Churn = Rumor_p2p.Churn
+module Churn = Rumor_test_support.Churn
 module Switcher = Rumor_p2p.Switcher
 module Replica = Rumor_p2p.Replica
 
@@ -137,12 +137,12 @@ let test_overlay_random_edge_empty () =
 let test_overlay_topology_view () =
   let o = regular_overlay ~seed:6 ~n:20 ~d:4 ~capacity:25 in
   let t = Overlay.to_topology o in
-  Alcotest.(check int) "capacity" 25 t.Rumor_sim.Topology.capacity;
-  Alcotest.(check int) "degree through view" 4 (t.Rumor_sim.Topology.degree 0);
-  Alcotest.(check bool) "dead id" false (t.Rumor_sim.Topology.alive 24);
+  Alcotest.(check int) "capacity" 25 t.Rumor_test_support.Topology.capacity;
+  Alcotest.(check int) "degree through view" 4 (t.Rumor_test_support.Topology.degree 0);
+  Alcotest.(check bool) "dead id" false (t.Rumor_test_support.Topology.alive 24);
   (* Live view: mutations show through. *)
   Overlay.deactivate o 0;
-  Alcotest.(check bool) "deactivation visible" false (t.Rumor_sim.Topology.alive 0)
+  Alcotest.(check bool) "deactivation visible" false (t.Rumor_test_support.Topology.alive 0)
 
 (* Pin the documented bounds contract: [neighbor] checks its index
    against the adjacency length (dead ids have length 0). *)
@@ -171,12 +171,12 @@ let test_overlay_view_neighbor_bounds () =
   Overlay.add_edge o a b;
   Overlay.add_edge o a c;
   let t = Overlay.to_topology o in
-  let stale = t.Rumor_sim.Topology.degree a - 1 in
-  ignore (Overlay.remove_edge o a (t.Rumor_sim.Topology.neighbor a 0));
-  Alcotest.(check int) "degree shrank" stale (t.Rumor_sim.Topology.degree a);
+  let stale = t.Rumor_test_support.Topology.degree a - 1 in
+  ignore (Overlay.remove_edge o a (t.Rumor_test_support.Topology.neighbor a 0));
+  Alcotest.(check int) "degree shrank" stale (t.Rumor_test_support.Topology.degree a);
   Alcotest.check_raises "stale index"
     (Invalid_argument "Overlay.neighbor: index") (fun () ->
-      ignore (t.Rumor_sim.Topology.neighbor a stale))
+      ignore (t.Rumor_test_support.Topology.neighbor a stale))
 
 (* --- Churn --- *)
 
@@ -435,8 +435,8 @@ let late_join_arm ~with_repair =
   let topology = Overlay.to_topology o in
   let res =
     if with_repair then
-      Rumor_core.Repair.self_heal
-        ~config:(Rumor_core.Repair.config ~n ())
+      Rumor_test_support.Repair.self_heal
+        ~config:(Rumor_test_support.Repair.config ~n ())
         ~reset ~on_round_end ~rng ~topology ~protocol ~sources:[ 0 ] ()
     else Engine.run ~reset ~on_round_end ~rng ~topology ~protocol ~sources:[ 0 ] ()
   in
@@ -446,12 +446,12 @@ let test_late_join_needs_repair () =
   let bare, j = late_join_arm ~with_repair:false in
   Alcotest.(check bool) "a node joined" true (j >= 0);
   Alcotest.(check bool) "newcomer uninformed without repair" false
-    (Rumor_sim.Bitset.get bare.Engine.knows j);
+    (Rumor_test_support.Bitset.get bare.Engine.knows j);
   Alcotest.(check bool) "so the bare run fails" false (Engine.success bare);
   let healed, j' = late_join_arm ~with_repair:true in
   Alcotest.(check int) "same newcomer id" j j';
   Alcotest.(check bool) "newcomer informed under repair" true
-    (Rumor_sim.Bitset.get healed.Engine.knows j');
+    (Rumor_test_support.Bitset.get healed.Engine.knows j');
   Alcotest.(check bool) "healed run succeeds" true (Engine.success healed)
 
 (* --- qcheck properties --- *)

@@ -2,14 +2,14 @@
    overlay against a reference implementation, reachability soundness
    of the engine, and selector totality across all strategies. *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
-module Traversal = Rumor_graph.Traversal
-module Classic = Rumor_gen.Classic
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
+module Traversal = Rumor_test_support.Traversal
+module Classic = Rumor_test_support.Classic
 module Regular = Rumor_gen.Regular
 module Selector = Rumor_sim.Selector
 module Engine = Rumor_sim.Engine
-module Topology = Rumor_sim.Topology
+module Topology = Rumor_test_support.Topology
 module Overlay = Rumor_p2p.Overlay
 module Baselines = Rumor_core.Baselines
 module Run = Rumor_core.Run
@@ -168,7 +168,7 @@ let prop_informed_subset_of_reachable =
       in
       let dist = Traversal.bfs g 0 in
       let sound = ref true in
-      Rumor_sim.Bitset.iter_set res.Engine.knows (fun v ->
+      Rumor_test_support.Bitset.iter_set res.Engine.knows (fun v ->
           if dist.(v) < 0 then sound := false);
       !sound)
 
@@ -191,7 +191,7 @@ let prop_push_pull_covers_component =
         (fun v d ->
           (* Reachable nodes with an edge can be reached by push&pull;
              isolated source (degree 0) trivially covers itself. *)
-          if d >= 0 && not (Rumor_sim.Bitset.get res.Engine.knows v) then
+          if d >= 0 && not (Rumor_test_support.Bitset.get res.Engine.knows v) then
             complete := false)
         dist;
       !complete)

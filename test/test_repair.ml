@@ -2,18 +2,18 @@
    the pull-timeout/backoff strategy (Repair), and the delivery
    guarantees it restores under bursty loss, crash/recovery and churn. *)
 
-module Rng = Rumor_rng.Rng
+module Rng = Rumor_test_support.Rng
 module Regular = Rumor_gen.Regular
-module Topology = Rumor_sim.Topology
+module Topology = Rumor_test_support.Topology
 module Fault = Rumor_sim.Fault
 module Selector = Rumor_sim.Selector
 module Protocol = Rumor_sim.Protocol
 module Engine = Rumor_sim.Engine
 module Params = Rumor_core.Params
 module Algorithm = Rumor_core.Algorithm
-module Repair = Rumor_core.Repair
+module Repair = Rumor_test_support.Repair
 module Overlay = Rumor_p2p.Overlay
-module Churn = Rumor_p2p.Churn
+module Churn = Rumor_test_support.Churn
 
 let pusher ~horizon =
   {

@@ -7,8 +7,8 @@
    loop that does not wake, drains on EOF and SIGTERM, and a prompt
    stop; and the wake pipe under rings racing its clears. *)
 
-module Json = Rumor_obs.Json
-module Repair = Rumor_core.Repair
+module Json = Rumor_test_support.Json
+module Repair = Rumor_test_support.Repair
 module Mailbox = Rumor_serve.Mailbox
 module Session = Rumor_serve.Session
 module Monitor = Rumor_serve.Monitor
@@ -139,12 +139,12 @@ let test_mailbox_concurrent_conservation () =
 (* --- deadline math --- *)
 
 let test_ceil_log2 () =
-  Alcotest.(check int) "1" 0 (Session.ceil_log2 1);
-  Alcotest.(check int) "2" 1 (Session.ceil_log2 2);
-  Alcotest.(check int) "3" 2 (Session.ceil_log2 3);
-  Alcotest.(check int) "4" 2 (Session.ceil_log2 4);
-  Alcotest.(check int) "1024" 10 (Session.ceil_log2 1024);
-  Alcotest.(check int) "1025" 11 (Session.ceil_log2 1025)
+  Alcotest.(check int) "1" 0 (Rumor_core.Params.ceil_log2 1);
+  Alcotest.(check int) "2" 1 (Rumor_core.Params.ceil_log2 2);
+  Alcotest.(check int) "3" 2 (Rumor_core.Params.ceil_log2 3);
+  Alcotest.(check int) "4" 2 (Rumor_core.Params.ceil_log2 4);
+  Alcotest.(check int) "1024" 10 (Rumor_core.Params.ceil_log2 1024);
+  Alcotest.(check int) "1025" 11 (Rumor_core.Params.ceil_log2 1025)
 
 let test_deadline_derivation () =
   let spec = { quick_spec with Session.n = 1024; deadline_ms = None } in
@@ -264,6 +264,12 @@ let test_wire_hostile_input () =
   rejects "misspelled field" {|{"op":"submit","protocl":"bef"}|};
   rejects "bad id shape" {|{"op":"poll","id":"42"}|};
   rejects "negative id" {|{"op":"poll","id":"s--3"}|};
+  List.iter
+    (fun id ->
+      rejects ("non-decimal id " ^ id)
+        (Printf.sprintf {|{"op":"poll","id":%S}|} id))
+    [ "s-0x10"; "s-0b1"; "s-0o7"; "s-1_0"; "s-010"; "s-+5"; "s-0u5"; "s-0";
+      "s-99999999999999999999" ];
   rejects "out-of-range spec" {|{"op":"submit","n":3}|};
   rejects "unbuildable topology"
     {|{"op":"submit","topology":"regular","n":4,"d":8}|};
@@ -754,14 +760,102 @@ let prop_retry_gap_in_window =
     QCheck.(triple (int_range 1 50) (int_range 0 8) small_int)
     (fun (base, attempt, seed) ->
       let b = Repair.backoff ~base ~cap:(base * 16) () in
-      let rng = Rumor_rng.Rng.create (seed + 1) in
+      let rng = Rumor_test_support.Rng.create (seed + 1) in
       let gap = Repair.backoff_gap b ~rng ~attempt in
       let w = Repair.backoff_window b ~attempt in
       gap >= 1 && gap <= w)
 
+(* --- fuzzing the hostile-input parsers --- *)
+
+(* Valid inputs, each mutated by a few byte flips, truncations, a
+   duplicated line or key, or a number swapped for an out-of-range one.
+   The parsers must answer [Ok] or [Error]; an exception is a bug. *)
+let wire_seeds =
+  [
+    {|{"op":"submit","n":512}|};
+    {|{"op":"submit","protocol":"bef","topology":"implicit-regular","n":4096,"d":8,"seed":7,"alpha":2.0,"fanout":4,"link_loss":0.1,"burst_loss":0.05,"burst_len":4,"deadline_ms":500,"trace":true,"notify":true}|};
+    {|{"op":"submit","topology":"regular","n":1024,"d":6,"crash_worker":true,"wedge_ms":20}|};
+    {|{"op":"poll","id":"s-1"}|};
+    {|{"op":"cancel","id":"s-42"}|};
+    {|{"op":"stats"}|};
+    {|{"op":"ping"}|};
+  ]
+
+let scenario_seeds =
+  lazy
+    (List.map
+       (fun f -> In_channel.with_open_bin ("../scenarios/" ^ f) In_channel.input_all)
+       [ "paper_default.txt"; "bursty_loss.txt"; "chaos_repro.txt"; "churn.txt";
+         "adversarial_crash.txt"; "partition_window.txt" ])
+
+let extreme_numbers =
+  [| "-1"; "0"; "-0"; "1e308"; "1e-400"; "99999999999999999999";
+     "4611686018427387904"; "-4611686018427387905"; "nan"; "inf"; "0x10";
+     "1_0"; "2.5"; "" |]
+
+let mutate rng text =
+  let rint = Random.State.int rng in
+  let n = String.length text in
+  match rint 5 with
+  | 0 when n > 0 ->
+      let b = Bytes.of_string text in
+      Bytes.set b (rint n) (Char.chr (rint 256));
+      Bytes.to_string b
+  | 1 -> String.sub text 0 (rint (n + 1))
+  | 2 ->
+      (* Duplicate a line, or a JSON member after the opening brace. *)
+      let lines = String.split_on_char '\n' text in
+      if List.length lines > 1 then
+        let dup = List.nth lines (rint (List.length lines)) in
+        String.concat "\n" (lines @ [ dup ])
+      else if n > 1 && text.[0] = '{' then
+        match String.index_opt text ',' with
+        | Some c -> "{" ^ String.sub text 1 (c - 1) ^ "," ^ String.sub text 1 (n - 1)
+        | None -> text
+      else text
+  | 3 ->
+      (* Swap the first run of digits at or after a random point. *)
+      let start = rint (n + 1) in
+      let is_digit c = c >= '0' && c <= '9' in
+      let rec find i = if i >= n then None else if is_digit text.[i] then Some i else find (i + 1) in
+      (match find start with
+      | None -> text
+      | Some i ->
+          let j = ref i in
+          while !j < n && (is_digit text.[!j] || text.[!j] = '.') do incr j done;
+          String.sub text 0 i
+          ^ extreme_numbers.(rint (Array.length extreme_numbers))
+          ^ String.sub text !j (n - !j))
+  | _ ->
+      let at = rint (n + 1) in
+      String.sub text 0 at ^ String.make 1 (Char.chr (rint 256)) ^ String.sub text at (n - at)
+
+let mutated seeds =
+  QCheck.make ~print:(Printf.sprintf "%S")
+    (fun rng ->
+      let seeds = Lazy.force seeds in
+      let text = List.nth seeds (Random.State.int rng (List.length seeds)) in
+      let rec go k text = if k = 0 then text else go (k - 1) (mutate rng text) in
+      go (1 + Random.State.int rng 4) text)
+
+let never_raises parse text =
+  match parse text with
+  | Ok _ | Error _ -> true
+  | exception e ->
+      QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+
+let prop_wire_fuzz =
+  QCheck.Test.make ~count:2000 ~name:"Wire.parse_request never raises on mutated lines"
+    (mutated (Lazy.from_val wire_seeds)) (never_raises Wire.parse_request)
+
+let prop_scenario_fuzz =
+  QCheck.Test.make ~count:1000 ~name:"Scenario.parse never raises on mutated texts"
+    (mutated scenario_seeds) (never_raises Rumor_cli.Scenario.parse)
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_deadline_monotone_in_n; prop_retry_gap_in_window ]
+    [ prop_deadline_monotone_in_n; prop_retry_gap_in_window; prop_wire_fuzz;
+      prop_scenario_fuzz ]
 
 (* Wake: no ring is lost to a clear that runs beside it. Two domains
    ring without pause while the owner loops [clear]. After each clear

@@ -1,13 +1,13 @@
 (* Tests for the rumor_sim library: topology views, faults, traces,
    selectors and the engine's round semantics. *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
-module Classic = Rumor_gen.Classic
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
+module Classic = Rumor_test_support.Classic
 module Regular = Rumor_gen.Regular
-module Topology = Rumor_sim.Topology
+module Topology = Rumor_test_support.Topology
 module Fault = Rumor_sim.Fault
-module Trace = Rumor_sim.Trace
+module Trace = Rumor_test_support.Trace
 module Selector = Rumor_sim.Selector
 module Protocol = Rumor_sim.Protocol
 module Engine = Rumor_sim.Engine
@@ -358,7 +358,7 @@ let test_engine_trace_consistency () =
 
 let test_engine_knows_matches_informed () =
   let res = run_push ~graph:(Classic.complete 32) ~horizon:30 ~seed:11 () in
-  let know_count = Rumor_sim.Bitset.cardinal res.Engine.knows in
+  let know_count = Rumor_test_support.Bitset.cardinal res.Engine.knows in
   Alcotest.(check int) "knows array consistent" res.Engine.informed know_count
 
 let test_engine_total_link_loss () =

@@ -1,12 +1,12 @@
 (* Tests for the rumor_stats library: summaries, histograms, regression,
    tables and experiment replication. *)
 
-module Rng = Rumor_rng.Rng
-module Summary = Rumor_stats.Summary
-module Histogram = Rumor_stats.Histogram
-module Regression = Rumor_stats.Regression
-module Table = Rumor_stats.Table
-module Experiment = Rumor_stats.Experiment
+module Rng = Rumor_test_support.Rng
+module Summary = Rumor_test_support.Summary
+module Histogram = Rumor_test_support.Histogram
+module Regression = Rumor_test_support.Regression
+module Table = Rumor_test_support.Table
+module Experiment = Rumor_test_support.Experiment
 
 let checkf = Alcotest.(check (float 1e-9))
 
@@ -138,7 +138,7 @@ let test_linear_noise () =
   let points =
     List.init 200 (fun i ->
         let x = float_of_int i in
-        (x, (3. *. x) +. 7. +. Rumor_rng.Dist.normal rng ~mu:0. ~sigma:0.5))
+        (x, (3. *. x) +. 7. +. Rumor_test_support.Dist.normal rng ~mu:0. ~sigma:0.5))
   in
   let fit = Regression.linear points in
   Alcotest.(check bool) "slope near 3" true (abs_float (fit.Regression.slope -. 3.) < 0.02);

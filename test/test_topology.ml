@@ -9,11 +9,11 @@
    other — plus a pinned broadcast showing the implicit hypercube is
    bit-for-bit the materialised one to the engine. *)
 
-module Rng = Rumor_rng.Rng
-module Graph = Rumor_graph.Graph
-module Classic = Rumor_gen.Classic
-module Topology = Rumor_sim.Topology
-module Bitset = Rumor_sim.Bitset
+module Rng = Rumor_test_support.Rng
+module Graph = Rumor_test_support.Graph
+module Classic = Rumor_test_support.Classic
+module Topology = Rumor_test_support.Topology
+module Bitset = Rumor_test_support.Bitset
 module Engine = Rumor_sim.Engine
 module Baselines = Rumor_core.Baselines
 module Scenario = Rumor_cli.Scenario
