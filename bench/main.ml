@@ -1357,8 +1357,9 @@ let a10 () =
         Experiment.replicate_parallel ~domains:(domains ()) ~seed:(2800 + i)
           ~reps:(reps ()) (fun rng ->
             let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
-            Rumor_sim.Async.run ~stop_when_complete:(i = 0) ~rng ~graph:g
-              ~protocol:(proto_of ()) ~sources:[ 0 ] ())
+            Rumor_sim.Async.run ~stop_when_complete:(i = 0) ~rng
+              ~topology:(Topology.of_graph g) ~protocol:(proto_of ())
+              ~sources:[ 0 ] ())
       in
       let async_completion =
         Summary.of_list

@@ -17,10 +17,12 @@
 
    broadcast and heal are flag front ends to a scenario: they run
    through Scenario.run_rep, the same dispatch as run, matrix and
-   chaos. Every grid is a matrix file: size sweeps
-   (scenarios/matrix_sweep.txt), the loss x size-estimate frontier
-   (matrix_e7.txt), crash schedules (matrix_crash.txt); churned
-   broadcasts are scenario files (scenarios/churn.txt).
+   chaos. multi and async check the same flags as scenario keys and
+   build their view with Scenario.make_topology. Every grid is a matrix
+   file: size sweeps (scenarios/matrix_sweep.txt), the loss x
+   size-estimate frontier (matrix_e7.txt), crash schedules
+   (matrix_crash.txt); churned broadcasts are scenario files
+   (scenarios/churn.txt).
 
    broadcast, multi, async and heal take --json to emit one
    structured JSON document on stdout instead of the human tables;
@@ -34,9 +36,7 @@ module Metrics = Rumor_graph.Metrics
 module Spectral = Rumor_graph.Spectral
 module Regular = Rumor_gen.Regular
 module Engine = Rumor_sim.Engine
-module Fault = Rumor_sim.Fault
 module Trace = Rumor_sim.Trace
-module Run = Rumor_core.Run
 module Summary = Rumor_stats.Summary
 module Table = Rumor_stats.Table
 module Experiment = Rumor_stats.Experiment
@@ -56,6 +56,11 @@ open Cmdliner
 
 (* --- shared arguments --- *)
 
+(* A refused command line: the reason on stderr, exit 2. *)
+let usage_error cmd msg =
+  Printf.eprintf "rumor %s: %s\n" cmd msg;
+  exit 2
+
 let seed_arg =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Random seed.")
 
@@ -68,10 +73,10 @@ let d_arg =
 let topology_arg =
   let doc =
     "Topology: regular (random d-regular), hypercube, torus, complete, \
-     gnp, product-k5 (random regular times K5). broadcast also accepts \
-     the seed-derived implicit views implicit-regular, implicit-hypercube \
-     and implicit-chords, which never build the graph and scale to \
-     n = 10,000,000+."
+     gnp, product-k5 (random regular times K5). broadcast, multi and \
+     async also accept the seed-derived implicit views implicit-regular, \
+     implicit-hypercube and implicit-chords, which never build the graph \
+     and scale to n = 10,000,000+."
   in
   Arg.(value & opt string "regular" & info [ "topology" ] ~docv:"KIND" ~doc)
 
@@ -130,9 +135,7 @@ let graph_in_arg =
 let generate seed n d topology out =
   (match Rumor_cli.Scenario.check_topology ~topology ~n ~d with
   | Ok () -> ()
-  | Error msg ->
-      Printf.eprintf "rumor generate: %s\n" msg;
-      exit 2);
+  | Error msg -> usage_error "generate" msg);
   let rng = Rng.create seed in
   let g = Rumor_cli.Scenario.make_graph ~rng ~topology ~n ~d in
   (match out with
@@ -174,12 +177,19 @@ let scenario_of_flags cmd flags =
       Scenario.validate
   with
   | Ok s -> s
-  | Error msg ->
-      Printf.eprintf "rumor %s: %s\n" cmd msg;
-      exit 2
+  | Error msg -> usage_error cmd msg
 
 let int_flag key v = (key, string_of_int v)
 let float_flag key v = (key, Printf.sprintf "%.17g" v)
+
+(* The flags broadcast, multi and async share, as scenario keys. *)
+let sim_flags seed n d topology protocol alpha fanout loss =
+  [
+    int_flag "seed" seed; int_flag "n" n; int_flag "d" d;
+    ("topology", topology); ("protocol", protocol);
+    float_flag "alpha" alpha; int_flag "fanout" fanout;
+    float_flag "loss" loss;
+  ]
 
 let broadcast seed n d topology protocol alpha fanout loss trace graph_in json
     trace_out =
@@ -189,12 +199,8 @@ let broadcast seed n d topology protocol alpha fanout loss trace graph_in json
   end;
   let scenario =
     scenario_of_flags "broadcast"
-      [
-        int_flag "seed" seed; int_flag "n" n; int_flag "d" d;
-        ("topology", topology); ("protocol", protocol);
-        float_flag "alpha" alpha; int_flag "fanout" fanout;
-        float_flag "loss" loss; ("stop", "false"); ("reps", "1");
-      ]
+      (sim_flags seed n d topology protocol alpha fanout loss
+      @ [ ("stop", "false"); ("reps", "1") ])
   in
   let graph = Option.map Rumor_graph.Io.of_file graph_in in
   let collect_trace = trace || trace_out <> None in
@@ -280,27 +286,34 @@ let spacing_arg =
           "Rounds between consecutive rumor creation times (rumor $(i,j) is \
            created at the end of round $(i,j)·$(docv)).")
 
+(* The view (materialised or implicit) and the protocol of a flag-built
+   scenario, drawn in [Scenario.run_rep]'s order: view first, then the
+   caller draws its sources. *)
+let sim_inputs scenario rng =
+  let { Scenario.topology; n; d; protocol; alpha; fanout; _ } = scenario in
+  let view = Scenario.make_topology ~rng ~topology ~n ~d in
+  let n_real = view.Rumor_sim.Topology.capacity in
+  let p = Scenario.make_protocol ~protocol ~n:n_real ~d ~alpha ~fanout () in
+  (view, n_real, p)
+
 let multi seed n d topology protocol alpha fanout loss messages spacing json
     trace_out =
-  let rng = Rng.create seed in
-  let g = Rumor_cli.Scenario.make_graph ~rng ~topology ~n ~d in
-  let n_real = Graph.n g in
-  let p =
-    Rumor_cli.Scenario.make_protocol ~protocol ~n:n_real ~d ~alpha ~fanout ()
+  let scenario =
+    scenario_of_flags "multi"
+      (sim_flags seed n d topology protocol alpha fanout loss)
   in
-  if messages < 1 then (
-    Printf.eprintf "multi: --messages must be >= 1\n";
-    exit 2);
+  if messages < 1 then usage_error "multi" "--messages must be >= 1";
+  if spacing < 0 then usage_error "multi" "--spacing must be >= 0";
+  let rng = Rng.create seed in
+  let topology_view, n_real, p = sim_inputs scenario rng in
   let msgs =
     List.init messages (fun j ->
-        { Rumor_sim.Multi.source = Run.random_source rng g;
-          created = j * spacing })
+        { Rumor_sim.Multi.source = Rng.int rng n_real; created = j * spacing })
   in
-  let fault = Fault.make ~link_loss:loss () in
   let collect_trace = trace_out <> None in
   let res =
-    Rumor_sim.Multi.run ~fault ~collect_trace ~rng
-      ~topology:(Rumor_sim.Topology.of_graph g) ~protocol:p ~messages:msgs ()
+    Rumor_sim.Multi.run ~fault:(Scenario.fault_plan scenario) ~collect_trace
+      ~rng ~topology:topology_view ~protocol:p ~messages:msgs ()
   in
   (match (res.Rumor_sim.Multi.trace, trace_out) with
   | Some t, Some path ->
@@ -368,17 +381,18 @@ let oracle_stop_arg =
 
 let async seed n d topology protocol alpha fanout loss oracle_stop json
     trace_out =
-  let rng = Rng.create seed in
-  let g = Rumor_cli.Scenario.make_graph ~rng ~topology ~n ~d in
-  let n_real = Graph.n g in
-  let p =
-    Rumor_cli.Scenario.make_protocol ~protocol ~n:n_real ~d ~alpha ~fanout ()
+  let scenario =
+    scenario_of_flags "async"
+      (sim_flags seed n d topology protocol alpha fanout loss)
   in
-  let fault = Fault.make ~link_loss:loss () in
+  let rng = Rng.create seed in
+  let topology_view, n_real, p = sim_inputs scenario rng in
   let collect_trace = trace_out <> None in
   let res =
-    Rumor_sim.Async.run ~fault ~stop_when_complete:oracle_stop ~collect_trace
-      ~rng ~graph:g ~protocol:p ~sources:[ Run.random_source rng g ] ()
+    Rumor_sim.Async.run ~fault:(Scenario.fault_plan scenario)
+      ~stop_when_complete:oracle_stop ~collect_trace ~rng
+      ~topology:topology_view ~protocol:p
+      ~sources:[ Rng.int rng n_real ] ()
   in
   (match (res.Rumor_sim.Async.trace, trace_out) with
   | Some t, Some path ->
@@ -459,6 +473,10 @@ let k_arg =
     & info [ "k" ] ~docv:"K" ~doc:"Exponentials per node (accuracy knob).")
 
 let estimate seed n d k =
+  (match Scenario.check_topology ~topology:"regular" ~n ~d with
+  | Ok () -> ()
+  | Error msg -> usage_error "estimate" msg);
+  if k < 1 then usage_error "estimate" "-k must be >= 1";
   let rng = Rng.create seed in
   let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
   let overlay = Rumor_p2p.Overlay.of_graph ~capacity:n g in

@@ -752,7 +752,7 @@ type rep_measure = {
   rm_result : Engine.result;
   rm_wall : float;
   rm_minor : float;
-  rm_heap_delta : float;
+  rm_major : float;
 }
 
 let mean = function
@@ -807,7 +807,7 @@ let kernel_outcome spec cell measures =
         mean (List.map2 (fun m r -> m.rm_minor /. pop r) ms results) );
       ( "heap_bytes_per_node",
         List.fold_left
-          (fun a (m, r) -> Float.max a (m.rm_heap_delta *. 8. /. pop r))
+          (fun a (m, r) -> Float.max a (m.rm_major *. 8. /. pop r))
           0.
           (List.combine ms results) );
     ]
@@ -845,21 +845,39 @@ let run ?domains ?run_service spec =
              spawn/join barrier between cells, so a grid of small
              cells saturates the domains. GC minor words are
              domain-local in OCaml 5, so the per-rep deltas measured
-             inside the worker are exact; heap_words is global and
-             only indicative under concurrency. *)
+             inside the worker belong to the rep.
+
+             The heap figure is what the rep puts in the major heap,
+             read from this domain's counters: its large blocks
+             (bitsets, cells, CSR arrays) and the small values it
+             promotes, boxed per-node records included. A minor
+             collection before the baseline promotes what earlier reps
+             left young, and one after the rep promotes what it left
+             young, so neither side's leftovers land on the other.
+             OCaml 5.1's counters leave out the words of some minor
+             collections, more of them after a large heap has run, so
+             this figure and the minor-words one can read low by
+             about a minor heap, depending on what ran before.
+             Growth of the global [heap_words] does not isolate the
+             rep: it moves with the free heap that earlier cells left,
+             with what other domains free meanwhile, and [quick_stat]
+             reads a domain's heap only as of its last collection. *)
           let out =
             Experiment.run_tasks ?domains tasks (fun ~task ~rep:_ rng ->
+                Gc.minor ();
                 let stat0 = Gc.quick_stat () in
+                let _, _, major0 = Gc.counters () in
                 let t0 = Unix.gettimeofday () in
                 let result = Scenario.run_rep cs.(task).scenario rng in
                 let t1 = Unix.gettimeofday () in
                 let stat1 = Gc.quick_stat () in
+                Gc.minor ();
+                let _, _, major1 = Gc.counters () in
                 {
                   rm_result = result;
                   rm_wall = t1 -. t0;
                   rm_minor = stat1.Gc.minor_words -. stat0.Gc.minor_words;
-                  rm_heap_delta =
-                    float_of_int (stat1.Gc.heap_words - stat0.Gc.heap_words);
+                  rm_major = major1 -. major0;
                 })
           in
           let outcomes =

@@ -94,10 +94,8 @@ val strategy :
 val self_heal :
   ?fault:Rumor_sim.Fault.t ->
   ?collect_trace:bool ->
-  ?forget_on_recover:bool ->
   ?reset:(unit -> int list) ->
   ?on_round_end:(int -> unit) ->
-  ?skew:(int -> int) ->
   ?monitor:Rumor_sim.Invariant.t ->
   ?packed:bool ->
   config:config ->
@@ -110,7 +108,7 @@ val self_heal :
 (** [self_heal ~config ~rng ~topology ~protocol ~sources ()] runs the
     main [protocol] once, then up to [config.max_epochs] repair epochs
     until every live node is informed
-    ({!Rumor_sim.Engine.run_epochs}). [forget_on_recover] defaults to
-    [true] here — self-healing is exactly the regime in which stale
-    post-crash state should not be trusted. The result's [repair] field
-    carries the per-epoch accounting. *)
+    ({!Rumor_sim.Engine.run_epochs}). Recovery amnesia is always on
+    ([~forget_on_recover:true]): self-healing is exactly the regime in
+    which stale post-crash state should not be trusted. The result's
+    [repair] field carries the per-epoch accounting. *)

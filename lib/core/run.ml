@@ -7,7 +7,6 @@ let random_source rng g =
   if Graph.n g = 0 then invalid_arg "Run.random_source: empty graph";
   Rng.int rng (Graph.n g)
 
-let once ?fault ?collect_trace ?stop_when_complete ?packed ~rng ~graph ~protocol
-    ~source () =
-  Engine.run ?fault ?collect_trace ?stop_when_complete ?packed ~rng
+let once ?collect_trace ?stop_when_complete ~rng ~graph ~protocol ~source () =
+  Engine.run ?collect_trace ?stop_when_complete ~rng
     ~topology:(Topology.of_graph graph) ~protocol ~sources:[ source ] ()

@@ -1,8 +1,6 @@
-(* The asynchronous Poisson-clock driver: a thin wrapper over
-   {!Kernel.run_async} (which shares the selection, fault-sampling,
+(* The asynchronous Poisson-clock driver: validates its inputs, then
+   runs {!Kernel.run_async} (which shares the selection, fault-sampling,
    delivery and quiescence machinery with the synchronous kernel). *)
-
-module Graph = Rumor_graph.Graph
 
 type result = Kernel.async_result = {
   activations : int;
@@ -13,12 +11,20 @@ type result = Kernel.async_result = {
   trace : Trace.t option;
 }
 
-let run ?fault ?stop_when_complete ?collect_trace ?on_round_end ?reset
-    ?monitor ?packed ~rng ~graph ~protocol ~sources () =
-  let n = Graph.n graph in
+let run ?(fault = Fault.none) ?stop_when_complete ?collect_trace ~rng
+    ~topology ~protocol ~sources () =
+  let n = topology.Topology.capacity in
   if sources = [] then invalid_arg "Async.run: no sources";
   List.iter
     (fun s -> if s < 0 || s >= n then invalid_arg "Async.run: bad source")
     sources;
-  Kernel.run_async ?fault ?stop_when_complete ?collect_trace ?on_round_end
-    ?reset ?monitor ?packed ~rng ~graph ~protocol ~sources ()
+  if Topology.alive_count topology <> n then
+    invalid_arg "Async.run: every node id must be live";
+  if
+    fault.Fault.burst <> None || Fault.has_node_faults fault
+    || fault.Fault.partition <> None
+  then
+    invalid_arg
+      "Async.run: bursts, node faults and partitions need synchronous rounds";
+  Kernel.run_async ~fault ?stop_when_complete ?collect_trace ~rng ~topology
+    ~protocol ~sources ()

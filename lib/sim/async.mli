@@ -33,12 +33,8 @@ val run :
   ?fault:Fault.t ->
   ?stop_when_complete:bool ->
   ?collect_trace:bool ->
-  ?on_round_end:(int -> unit) ->
-  ?reset:(unit -> int list) ->
-  ?monitor:Invariant.t ->
-  ?packed:bool ->
   rng:Rumor_rng.Rng.t ->
-  graph:Rumor_graph.Graph.t ->
+  topology:Topology.t ->
   protocol:'st Protocol.t ->
   sources:int list ->
   unit ->
@@ -49,12 +45,15 @@ val run :
     [stop_when_complete] — the oracle-stopped accounting; see
     {!Kernel}). Only the [Uniform] selector is meaningful
     per-activation; stateful selectors are accepted and keep their
-    per-node state across activations. [fault] is sampled through the
-    stateless view ({!Fault.channel_ok}, {!Fault.delivery_ok} with the
-    transmission's direction): independent failures and asymmetric
-    push/pull loss apply; burst and crash modes need a fault runtime
-    ({!Kernel.Full}, as driven by {!Engine.run}) and are ignored here.
-    [on_round_end] and [reset] fire at each integer time-unit boundary
-    the run crosses — the asynchronous analogue of a round end; ids
-    returned by [reset] restart uninformed.
-    @raise Invalid_argument if [sources] is empty or out of range. *)
+    per-node state across activations. [topology] is any view the
+    synchronous drivers take (materialised or implicit) whose every id
+    in [\[0, capacity)] is live. [fault] contributes its independent
+    components, sampled per activation ({!Fault.channel_ok},
+    {!Fault.delivery_ok} with the transmission's direction): call
+    failure, link loss and asymmetric push/pull loss. Bursts, node
+    faults and partition windows are ticked once per round by a
+    {!Fault.runtime}, and a Poisson clock has no rounds, so a plan that
+    uses them is rejected rather than silently reduced.
+    @raise Invalid_argument if [sources] is empty or out of range, if
+    some id of [topology] is dead, or if [fault] has a burst, a crash
+    rate, a strike or a partition. *)

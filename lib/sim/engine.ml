@@ -1,5 +1,5 @@
-(* The synchronous single-rumor driver: one kernel table under a full
-   fault runtime. All round machinery lives in {!Kernel}. *)
+(* The synchronous single-rumor driver: one kernel table. All round
+   machinery lives in {!Kernel}. *)
 
 type epoch_stat = Kernel.epoch_stat = {
   epoch : int;
@@ -63,14 +63,12 @@ let of_kernel ~repair (k : Kernel.result) =
     trace = k.Kernel.trace;
   }
 
-let run ?(fault = Fault.none) ?collect_trace ?stop_when_complete ?gate
-    ?forget_on_recover ?reset ?on_round_end ?skew ?monitor ?packed ~rng
-    ~topology ~protocol ~sources () =
+let run ?fault ?collect_trace ?stop_when_complete ?forget_on_recover ?reset
+    ?on_round_end ?skew ?monitor ?packed ~rng ~topology ~protocol ~sources () =
   validate ~where:"Engine.run" ~topology sources;
   of_kernel ~repair:[]
-    (Kernel.run ~fault:(Kernel.Full fault) ?collect_trace ?stop_when_complete
-       ?gate ?forget_on_recover ?reset ?on_round_end ?skew ?monitor ?packed
-       ~rng ~topology ~protocol
+    (Kernel.run ?fault ?collect_trace ?stop_when_complete ?forget_on_recover
+       ?reset ?on_round_end ?skew ?monitor ?packed ~rng ~topology ~protocol
        ~tables:[| { Kernel.sources; created = 0 } |]
        ())
 
@@ -80,13 +78,13 @@ type 'st epoch_plan = 'st Kernel.epoch_plan = {
 }
 
 let run_epochs ?fault ?collect_trace ?forget_on_recover ?reset ?on_round_end
-    ?skew ?(max_epochs = 8) ?monitor ?packed ~rng ~topology ~protocol ~repair
+    ?(max_epochs = 8) ?monitor ?packed ~rng ~topology ~protocol ~repair
     ~sources () =
   if max_epochs < 0 then invalid_arg "Engine.run_epochs: max_epochs < 0";
   validate ~where:"Engine.run" ~topology sources;
   let k, stats =
     Kernel.run_epochs ?fault ?collect_trace ?forget_on_recover ?reset
-      ?on_round_end ?skew ~max_epochs ?monitor ?packed ~rng ~topology ~protocol
+      ?on_round_end ~max_epochs ?monitor ?packed ~rng ~topology ~protocol
       ~repair ~table:{ Kernel.sources; created = 0 } ()
   in
   of_kernel ~repair:stats k

@@ -17,7 +17,7 @@
     paper's theorems bound.
 
     This module is the single-rumor driver of the shared {!Kernel}: one
-    table under a {!Kernel.Full} fault runtime. The stopping rule
+    table, the whole fault plan driven through a runtime. The stopping rule
     (horizon, quiescence, the oracle-stopped [stop_when_complete]
     accounting), the randomness-order contract and the census invariant
     are documented once, on {!Kernel}. *)
@@ -76,7 +76,6 @@ val run :
   ?fault:Fault.t ->
   ?collect_trace:bool ->
   ?stop_when_complete:bool ->
-  ?gate:(informed:bool -> node:int -> round:int -> bool) ->
   ?forget_on_recover:bool ->
   ?reset:(unit -> int list) ->
   ?on_round_end:(int -> unit) ->
@@ -113,14 +112,6 @@ val run :
     (clamped so that a node whose clock has not started yet stays
     silent and not yet quiescent). Default: no skew. The horizon grows
     by the largest skew so late clocks still finish their schedule.
-
-    [gate ~informed ~node ~round] is consulted once per live node per
-    round before the node opens its channels; when it returns [false]
-    the node initiates nothing that round (it can still {e answer}
-    channels opened towards it). Repair epochs use this to silence
-    informed nodes and to run uninformed nodes on a pull-timeout /
-    backoff schedule. Default: every node opens channels every round
-    (no call is made, preserving bit-identical results).
 
     [forget_on_recover] (default false) models {e recovery amnesia}: a
     node that recovers from a crash lost its volatile state, re-enters
@@ -163,7 +154,6 @@ val run_epochs :
   ?forget_on_recover:bool ->
   ?reset:(unit -> int list) ->
   ?on_round_end:(int -> unit) ->
-  ?skew:(int -> int) ->
   ?max_epochs:int ->
   ?monitor:Invariant.t ->
   ?packed:bool ->
@@ -176,12 +166,14 @@ val run_epochs :
   result
 (** [run_epochs ~rng ~topology ~protocol ~repair ~sources ()] runs the
     main broadcast schedule once ({!run}, forwarding [fault],
-    [collect_trace], [forget_on_recover], [on_round_end] and [skew]),
-    ([reset], like [on_round_end], applies to the main run only), then
-    — while some live node is uninformed and at most [max_epochs]
-    (default 8) times — asks [repair ~epoch ~knows] for a fresh
-    {!epoch_plan} and re-runs the engine with every current knower as a
-    source and the plan's gate installed. Epochs keep the fault plan's
+    [collect_trace], [forget_on_recover] and [on_round_end]; [reset],
+    like [on_round_end], applies to the main run only), then — while
+    some live node is uninformed and at most [max_epochs] (default 8)
+    times — asks [repair ~epoch ~knows] for a fresh {!epoch_plan} and
+    re-runs the kernel with every current knower as a source and the
+    plan's gate installed ({!Kernel.gate}: consulted once per live node
+    per round before it opens its channels; [false] means it initiates
+    nothing that round but can still answer). Epochs keep the fault plan's
     {e communication} modes (link/call loss, asymmetric loss, bursts)
     but drop the node-dynamics modes ([crash_rate], [strike]): those
     act on the main timeline, a fresh {!Fault.runtime} per epoch brings

@@ -28,8 +28,9 @@
       split without mutating the overlay itself.
 
     The stateless sampling helpers ({!channel_ok}, {!delivery_ok}) see
-    only the independent components and serve the simpler runners
-    ([Async], [Multi]); {!Engine.run} drives the full plan through a
+    only the independent components and serve the Poisson-clock runner
+    ([Async], which rejects plans with stateful modes); the synchronous
+    kernel behind [Engine] and [Multi] drives the full plan through a
     {!runtime}. A plan with no faults injects nothing and draws no
     randomness, so [Fault.none] leaves engine results bit-identical to
     a run without faults. *)
@@ -135,12 +136,10 @@ val delivery_ok : ?dir:[ `Push | `Pull ] -> t -> Rumor_rng.Rng.t -> bool
 (** Sample whether one transmission survives. Always applies the
     symmetric [link_loss]; when [dir] is given, the matching
     per-direction loss ([push_loss] or [pull_loss]) is layered on top,
-    so the [Async] and [Multi] runners honour asymmetric plans. A zero
-    probability draws nothing. This stateless view still omits the
-    {e stateful} modes — Gilbert–Elliott bursts and crash/recovery live
-    in the {!runtime} and are only exercised by {!Engine.run}; plans
-    using them under the simpler runners degrade to the independent
-    components. *)
+    so the [Async] runner honours asymmetric plans. A zero probability
+    draws nothing. This stateless view omits the {e stateful} modes —
+    Gilbert–Elliott bursts, crash/recovery, strikes and partitions live
+    in the {!runtime}, which only round-based runs tick. *)
 
 (** {1 Engine runtime}
 

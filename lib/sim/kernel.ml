@@ -1,8 +1,5 @@
 module Rng = Rumor_rng.Rng
 module Dist = Rumor_rng.Dist
-module Graph = Rumor_graph.Graph
-
-type fault_mode = Full of Fault.t | Stateless of Fault.t
 
 type table = { sources : int list; created : int }
 
@@ -109,7 +106,7 @@ type tstate = {
 let bit buf v =
   Char.code (Bytes.unsafe_get buf (v lsr 3)) land (1 lsl (v land 7)) <> 0
 
-let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
+let run ?(fault = Fault.none) ?(collect_trace = false)
     ?(stop_when_complete = false) ?gate ?(forget_on_recover = false) ?reset
     ?on_round_end ?skew ?monitor ?(packed = true) ~rng ~topology ~protocol
     ~tables () =
@@ -129,40 +126,11 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
         done;
         !worst
   in
-  let splan = match fault with Full p | Stateless p -> p in
-  let frt =
-    match fault with
-    | Full p -> Some (Fault.start p ~capacity:cap)
-    | Stateless _ -> None
-  in
-  let active =
-    match frt with
-    | Some rt -> fun v -> Fault.active rt v
-    | None -> fun _ -> true
-  in
-  let may_recover =
-    match frt with Some rt -> Fault.may_recover rt | None -> false
-  in
-  (* Partition windows only exist under a [Full] runtime; the check is
-     two loads and a branch, and a plan without a partition never opens
-     the window, so the predicate is constant-true there. *)
-  let connected =
-    match frt with
-    | Some rt -> fun u w -> Fault.same_side rt u w
-    | None -> fun _ _ -> true
-  in
-  (* A [Stateless] plan samples exactly like a burst-free runtime: the
-     burst check draws nothing and the loss draws coincide. *)
-  let push_ok =
-    match frt with
-    | Some rt -> fun u -> Fault.push_ok rt rng ~sender:u
-    | None -> fun _ -> Fault.delivery_ok ~dir:`Push splan rng
-  in
-  let pull_ok =
-    match frt with
-    | Some rt -> fun w -> Fault.pull_ok rt rng ~sender:w
-    | None -> fun _ -> Fault.delivery_ok ~dir:`Pull splan rng
-  in
+  let rt = Fault.start fault ~capacity:cap in
+  let active v = Fault.active rt v in
+  let may_recover = Fault.may_recover rt in
+  let push_ok u = Fault.push_ok rt rng ~sender:u in
+  let pull_ok w = Fault.pull_ok rt rng ~sender:w in
   let selector = Selector.make protocol.selector ~capacity:cap in
   let scratch = Array.make (max (Selector.fanout protocol.selector) 1) 0 in
   (* Census strategy: see the invariant in kernel.mli. *)
@@ -331,12 +299,11 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
      become a channel. Neither holds in the paper's fault-free runs,
      which then check nothing per node or per channel. *)
   let can_be_down =
-    (Option.is_some frt && Fault.has_node_faults splan)
-    || (not census_incremental) || !live <> cap
+    Fault.has_node_faults fault || (not census_incremental) || !live <> cap
   in
-  let partitioned = Option.is_some frt && splan.Fault.partition <> None in
+  let partitioned = fault.Fault.partition <> None in
   let chan_can_fail =
-    can_be_down || partitioned || splan.Fault.call_failure > 0.
+    can_be_down || partitioned || fault.Fault.call_failure > 0.
   in
   (* Liveness ([topology.alive && active]) of every id, rebuilt after
      each fault tick, so the loop reads one bit per initiator and callee
@@ -486,7 +453,7 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     | None -> [||]
   in
   let may_shrink =
-    Fault.has_node_faults splan || forget_on_recover
+    Fault.has_node_faults fault || forget_on_recover
     || Option.is_some reset
     || Option.is_some on_round_end
   in
@@ -496,11 +463,8 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
     incr round;
     let r = !round in
     cur_round := r;
-    (match frt with
-    | Some rt ->
-        Fault.begin_round ?on_recover ?on_crash rt ~rng ~round:r
-          ~degree:topology.degree ~alive:topology.alive ~informed:informed_any
-    | None -> ());
+    Fault.begin_round ?on_recover ?on_crash rt ~rng ~round:r
+      ~degree:topology.degree ~alive:topology.alive ~informed:informed_any;
     (* Inject rumors created at the end of the previous round. *)
     for j = 0 to nt - 1 do
       let tb = tbs.(j) in
@@ -545,8 +509,8 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
                  channel draw, so the call consumes no randomness. *)
               if
                 ((not can_be_down) || bit up w)
-                && ((not partitioned) || connected u w)
-                && Fault.channel_ok splan rng
+                && ((not partitioned) || Fault.same_side rt u w)
+                && Fault.channel_ok fault rng
               then begin
                 incr channels_now;
                 if carries then
@@ -715,12 +679,10 @@ let run ?(fault = Stateless Fault.none) ?(collect_trace = false)
      (node-fault runs) or the post-churn recount needs a scan. *)
   let down = ref [] in
   if census_incremental then begin
-    match frt with
-    | Some rt when Fault.down_count rt > 0 ->
-        for v = cap - 1 downto 0 do
-          if topology.alive v && not (Fault.active rt v) then down := v :: !down
-        done
-    | Some _ | None -> ()
+    if Fault.down_count rt > 0 then
+      for v = cap - 1 downto 0 do
+        if topology.alive v && not (active v) then down := v :: !down
+      done
   end
   else begin
     live := 0;
@@ -774,13 +736,12 @@ type 'st epoch_plan = {
 }
 
 let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
-    ?(forget_on_recover = false) ?reset ?on_round_end ?skew ?(max_epochs = 8)
+    ?(forget_on_recover = false) ?reset ?on_round_end ?(max_epochs = 8)
     ?monitor ?packed ~rng ~topology ~protocol ~repair ~table () =
   if max_epochs < 0 then invalid_arg "Kernel.run_epochs: max_epochs < 0";
   let main =
-    run ~fault:(Full fault) ~collect_trace ~forget_on_recover ?reset
-      ?on_round_end ?skew ?monitor ?packed ~rng ~topology ~protocol
-      ~tables:[| table |] ()
+    run ~fault ~collect_trace ~forget_on_recover ?reset ?on_round_end ?monitor
+      ?packed ~rng ~topology ~protocol ~tables:[| table |] ()
   in
   let cap = topology.Topology.capacity in
   let knows = Bitset.copy main.tables.(0).knows in
@@ -829,7 +790,7 @@ let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
          target unreachable by construction. *)
       let epoch_fault = { fault with Fault.crash_rate = 0.; strike = None } in
       let r =
-        run ~fault:(Full epoch_fault) ~forget_on_recover
+        run ~fault:epoch_fault ~forget_on_recover
           ~stop_when_complete:true ~gate:plan.epoch_gate ?monitor ?packed ~rng
           ~topology ~protocol:plan.epoch_protocol
           ~tables:[| { sources = !srcs; created = 0 } |]
@@ -901,12 +862,11 @@ type async_result = {
 }
 
 let run_async ?(fault = Fault.none) ?(stop_when_complete = false)
-    ?(collect_trace = false) ?on_round_end ?reset ?monitor ?(packed = true)
-    ~rng ~graph ~protocol ~sources () =
+    ?(collect_trace = false) ~rng ~topology ~protocol ~sources () =
   let open Protocol in
-  let n = Graph.n graph in
+  let n = topology.Topology.capacity in
   let informed = Bitset.create n in
-  let store = store_of ~packed protocol n in
+  let store = store_of ~packed:true protocol n in
   List.iter
     (fun s ->
       Bitset.set informed s;
@@ -950,18 +910,10 @@ let run_async ?(fault = Fault.none) ?(stop_when_complete = false)
   (* Hoisted out of the activation loop so steady-state activations
      allocate nothing; [cur_round] carries the logical round. *)
   let cur_round = ref 1 in
-  (* Unit-boundary machinery: a unit of continuous time is the
-     asynchronous analogue of a round, so trace rows, [on_round_end]
-     and [reset] land at the integer boundaries the run crosses. All of
-     it draws nothing, and without hooks or tracing none of it runs. *)
+  (* A unit of continuous time is the asynchronous analogue of a round:
+     with tracing on, one row per unit the run crosses. Drawing nothing,
+     and without tracing none of it runs. *)
   let trace = if collect_trace then Some (Trace.create ()) else None in
-  let unit_boundaries =
-    collect_trace
-    || Option.is_some on_round_end
-    || Option.is_some reset
-    || Option.is_some monitor
-  in
-  let prev_informed = ref !informed_count in
   let unit_done = ref 0 in
   let unit_newly = ref 0 in
   let unit_push = ref 0 and unit_pull = ref 0 and unit_channels = ref 0 in
@@ -983,47 +935,12 @@ let run_async ?(fault = Fault.none) ?(stop_when_complete = false)
         unit_channels := 0
     | None -> ()
   in
-  let flush_unit u =
-    (* Monitor checks run before the churn hooks so they observe the
-       state the protocol produced, not the harness's mutations. *)
-    (match monitor with
-    | None -> ()
-    | Some m ->
-        Invariant.tick m;
-        let c = Bitset.cardinal informed in
-        if c <> !informed_count then
-          Invariant.record m ~check:"census" ~round:u
-            ~detail:
-              (Printf.sprintf "informed: recount %d, kernel %d" c
-                 !informed_count);
-        if Option.is_none reset && !informed_count < !prev_informed then
-          Invariant.record m ~check:"monotone" ~round:u
-            ~detail:
-              (Printf.sprintf "informed fell %d -> %d" !prev_informed
-                 !informed_count);
-        prev_informed := !informed_count);
-    flush_row u;
-    (match on_round_end with Some f -> f u | None -> ());
-    match reset with
-    | Some f ->
-        List.iter
-          (fun v ->
-            if v >= 0 && v < n then begin
-              if Bitset.get informed v then begin
-                Bitset.clear informed v;
-                decr informed_count
-              end;
-              store.s_init v ~informed:false
-            end)
-          (f ())
-    | None -> ()
-  in
   let advance_units () =
-    if unit_boundaries then begin
+    if collect_trace then begin
       let nu = int_of_float !time in
       while !unit_done < nu do
         incr unit_done;
-        flush_unit !unit_done
+        flush_row !unit_done
       done
     end
   in
@@ -1046,13 +963,13 @@ let run_async ?(fault = Fault.none) ?(stop_when_complete = false)
       advance_units ();
       incr activations;
       let v = Rng.int rng n in
-      let deg = Graph.degree graph v in
+      let deg = topology.Topology.degree v in
       if deg > 0 then begin
         let round = logical () in
         cur_round := round;
         let k = Selector.select selector ~rng ~node:v ~degree:deg ~out:scratch in
         for i = 0 to k - 1 do
-          let w = Graph.neighbor graph v scratch.(i) in
+          let w = topology.Topology.neighbor v scratch.(i) in
           if Fault.channel_ok fault rng then begin
             incr unit_channels;
             (* push: the activated caller transmits to the callee. *)

@@ -4,19 +4,22 @@
     (rumors sharing blindly opened channels) and the asynchronous
     Poisson-clock relaxation all execute the same [open; transmit;
     receive; close] schedule. This module is that schedule, implemented
-    once: channel selection via {!Selector}, fault gating via
-    {!Fault.begin_round} (stateful runtime) or {!Fault.delivery_ok}
-    (stateless sampling), bitset-backed informed state with an
-    incrementally maintained census, cached-witness quiescence, clock
-    skew and push/pull/channel accounting. The drivers are thin
-    instantiations: {!Engine.run} is one table under a {!Full} fault
-    runtime, {!Multi.run} is one table per message under {!Stateless}
-    sampling, {!Async.run} is {!run_async}.
+    once: channel selection via {!Selector}, fault gating via a
+    {!Fault.runtime} ticked by {!Fault.begin_round}, bitset-backed
+    informed state with an incrementally maintained census,
+    cached-witness quiescence, clock skew and push/pull/channel
+    accounting. The drivers are thin instantiations: {!Engine.run} is
+    one table, {!Multi.run} is one table per message, {!Async.run} is
+    {!run_async}.
 
     {2 The driver signature}
 
-    A synchronous driver chooses:
-    - the {e fault mode} ({!fault_mode}) — how the plan is sampled;
+    Every driver takes [~rng ~topology ~protocol], its sources (or
+    messages) and an optional {!Fault.t} plan. A synchronous run always
+    drives the whole plan through a fresh {!Fault.runtime}: loss, call
+    failure, Gilbert–Elliott bursts, crash/recovery, strikes and
+    partition windows apply whichever driver asked. Beyond that a
+    synchronous driver chooses:
     - the {e tables} — one {!table} per rumor, each with its own
       creation time, per-node protocol state, decision cache and
       transmission accounting, all sharing the round's channel set;
@@ -27,23 +30,24 @@
     with Poisson activations; it shares the selection, fault-sampling,
     delivery and quiescence machinery but advances time per activation
     and applies deliveries immediately (decisions are {e not} cached —
-    feedback can change a node's mind within a logical round).
+    feedback can change a node's mind within a logical round). With no
+    rounds to tick a runtime on, it samples only the plan's independent
+    components.
 
     {2 Randomness-order contract}
 
     Simulation results are pinned by golden tests, so the kernel draws
     from [rng] in a fixed, documented order. Synchronous rounds draw:
-    fault-runtime tick ({!Full} only: burst chains, recoveries, crashes,
-    strike when the schedule fires, partition side assignments when the
-    window opens) — then per live initiator in id order: neighbour
+    fault-runtime tick (burst chains, recoveries, crashes, strike when
+    the schedule fires, partition side assignments when the window
+    opens) — then per live initiator in id order: neighbour
     selection, then per opened channel: channel establishment, then per
     table: push-delivery loss for deciders, pull-delivery loss for
     answering partners. A call blocked by an open partition window is
     skipped {e before} the channel-establishment draw, exactly like a
     call to a dead node. Hooks, census maintenance, tracing and the
     invariant monitor draw nothing; a plan mode that is off draws
-    nothing; a {!Stateless} plan samples exactly like a burst-free
-    {!Full} runtime.
+    nothing.
 
     Asynchronous runs draw: inter-activation exponential, activated
     node id, then selection and fault sampling as above. At the end of
@@ -78,7 +82,7 @@
       {!Fault.active} call per node, and checks initiators and callees
       by reading one bit. Otherwise it checks nothing per node.
     - {e A channel can fail} when a node can be down, under a
-      partition plan ({!Full} only) or with [call_failure > 0]. Each
+      partition plan or with [call_failure > 0]. Each
       selected callee is then resolved and the channel counted when the
       callee is up, on the caller's side and {!Fault.channel_ok}
       passes. Otherwise no per-channel check runs.
@@ -134,18 +138,6 @@
     transmission counts are lower bounds for protocols without a
     termination rule. *)
 
-type fault_mode =
-  | Full of Fault.t
-      (** Drive the whole plan through a fresh {!Fault.runtime}:
-          Gilbert–Elliott bursts, crash/recovery and strikes apply, and
-          the runtime is ticked at the start of every round. *)
-  | Stateless of Fault.t
-      (** Sample only the independent components
-          ({!Fault.channel_ok} / {!Fault.delivery_ok}): call failure,
-          link loss, asymmetric push/pull loss. Burst and crash modes
-          are ignored. Draws are identical to a burst-free [Full]
-          runtime of the same plan. *)
-
 type table = {
   sources : int list;  (** nodes that know this rumor at [created] *)
   created : int;
@@ -186,7 +178,7 @@ type gate = informed:bool -> node:int -> round:int -> bool
     of them. *)
 
 val run :
-  ?fault:fault_mode ->
+  ?fault:Fault.t ->
   ?collect_trace:bool ->
   ?stop_when_complete:bool ->
   ?gate:gate ->
@@ -208,10 +200,13 @@ val run :
     otherwise. Both stores run the same loop, so results are
     bit-identical either way.
 
-    [fault] defaults to [Stateless Fault.none] (both modes of an empty
-    plan draw nothing and behave identically). [gate], [skew],
-    [forget_on_recover], [reset] and [on_round_end] behave as
-    documented on {!Engine.run}; they apply uniformly to every table.
+    [fault] (default {!Fault.none}, which draws nothing) is driven
+    through a fresh {!Fault.runtime} ticked at the start of every
+    round. [skew], [forget_on_recover], [reset] and [on_round_end]
+    behave as documented on {!Engine.run}; they apply uniformly to
+    every table. [gate] (see {!gate}; repair epochs install one)
+    defaults to every node opening its channels every round, with no
+    call made.
     [reset] ids and recovery amnesia clear {e every} table's flag for
     the node (a wiped node lost all rumors). [monitor] installs the
     runtime invariant monitor ({!Invariant}): every check is recomputed
@@ -257,7 +252,6 @@ val run_epochs :
   ?forget_on_recover:bool ->
   ?reset:(unit -> int list) ->
   ?on_round_end:(int -> unit) ->
-  ?skew:(int -> int) ->
   ?max_epochs:int ->
   ?monitor:Invariant.t ->
   ?packed:bool ->
@@ -268,7 +262,7 @@ val run_epochs :
   table:table ->
   unit ->
   result * epoch_stat list
-(** Run the main schedule once on [table] (under [Full fault]), then —
+(** Run the main schedule once on [table] under [fault], then —
     while there is a live knower and a live non-knower, and at most
     [max_epochs] (default 8) times — ask [repair ~epoch ~knows] for a
     fresh {!epoch_plan} and re-run the kernel with every current knower
@@ -298,12 +292,8 @@ val run_async :
   ?fault:Fault.t ->
   ?stop_when_complete:bool ->
   ?collect_trace:bool ->
-  ?on_round_end:(int -> unit) ->
-  ?reset:(unit -> int list) ->
-  ?monitor:Invariant.t ->
-  ?packed:bool ->
   rng:Rumor_rng.Rng.t ->
-  graph:Rumor_graph.Graph.t ->
+  topology:Topology.t ->
   protocol:'st Protocol.t ->
   sources:int list ->
   unit ->
@@ -315,12 +305,11 @@ val run_async :
     every informed node is quiescent (checked every [4n] activations),
     at continuous time [protocol.horizon], or — with
     [stop_when_complete] — as soon as everyone is informed (the
-    oracle-stopped accounting; see the stopping rule above). [fault] is
-    sampled statelessly as in {!Stateless}. [on_round_end] and [reset]
-    fire at each integer time-unit boundary the run crosses (the
-    asynchronous analogue of a round end); ids returned by [reset]
-    restart uninformed. [monitor] checks the census and monotonicity
-    invariants at those same boundaries. Without hooks, tracing or a
-    monitor the activation loop is unchanged and draws identically to
-    previous releases. Sources are not validated here — drivers do
-    that. *)
+    oracle-stopped accounting; see the stopping rule above). Every id
+    in [\[0, capacity)] is activated as a live node. Only [fault]'s
+    independent components are sampled ({!Fault.channel_ok}, and
+    {!Fault.delivery_ok} with the transmission's direction); bursts,
+    node faults and partitions need rounds to tick a runtime on.
+    Per-node state is packed when the protocol declares packed ops.
+    Tracing draws nothing. Sources, liveness and the plan are not
+    validated here — {!Async.run} does that. *)

@@ -1,6 +1,5 @@
-(* The multi-rumor driver: one kernel table per message under
-   stateless fault sampling, sharing each round's channel set. All
-   round machinery lives in {!Kernel}. *)
+(* The multi-rumor driver: one kernel table per message, sharing each
+   round's channel set. All round machinery lives in {!Kernel}. *)
 
 type message = { source : int; created : int }
 
@@ -58,10 +57,8 @@ let of_kernel (k : Kernel.result) =
     trace = k.Kernel.trace;
   }
 
-let run ?(fault = Fault.none) ?collect_trace ?on_round_end ?reset ?monitor
-    ?packed ~rng ~topology ~protocol ~messages () =
+let run ?fault ?collect_trace ~rng ~topology ~protocol ~messages () =
   validate ~topology messages;
   of_kernel
-    (Kernel.run ~fault:(Kernel.Stateless fault) ?collect_trace ?on_round_end
-       ?reset ?monitor ?packed ~rng ~topology ~protocol
+    (Kernel.run ?fault ?collect_trace ~rng ~topology ~protocol
        ~tables:(tables_of messages) ())

@@ -9,8 +9,8 @@
     share one channel set per round, each following its own copy of the
     protocol schedule (ages are per-rumor), with per-rumor transmission
     accounting. It is a thin instantiation of {!Kernel} — one table per
-    message under {!Kernel.Stateless} fault sampling — and inherits the
-    kernel's stopping rule, hook surface and census machinery. *)
+    message — and inherits the kernel's stopping rule, fault runtime and
+    census machinery. *)
 
 type message = { source : int; created : int }
 (** A rumor, injected at [source] at the end of round [created]
@@ -43,10 +43,6 @@ val all_complete : result -> bool
 val run :
   ?fault:Fault.t ->
   ?collect_trace:bool ->
-  ?on_round_end:(int -> unit) ->
-  ?reset:(unit -> int list) ->
-  ?monitor:Invariant.t ->
-  ?packed:bool ->
   rng:Rumor_rng.Rng.t ->
   topology:Topology.t ->
   protocol:'st Protocol.t ->
@@ -56,13 +52,10 @@ val run :
 (** [run ~messages ()] drives all rumors to the kernel's stopping rule
     (each rumor [m] runs its protocol with logical round
     [round - m.created]; see {!Kernel} for horizon and quiescence).
-    [fault] is sampled through the stateless view ({!Fault.channel_ok},
-    {!Fault.delivery_ok} with the transmission's direction): independent
-    failures and asymmetric push/pull loss apply; burst and crash modes
-    need a fault runtime ({!Kernel.Full}, as driven by {!Engine.run})
-    and are ignored here. [on_round_end] and [reset] behave as on
-    {!Engine.run} — installing [on_round_end] switches the census to
-    the full per-round recount so churn stays correct; [reset] ids
-    forget {e every} rumor.
+    [fault] applies in full, exactly as on {!Engine.run}: loss, call
+    failure, bursts, crash/recovery, strikes and partition windows. A
+    crashed node carries none of the rumors it knows until it recovers;
+    a single message under any plan is the same simulation as
+    {!Engine.run}.
     @raise Invalid_argument if [messages] is empty or a source is dead
     or out of range. *)

@@ -294,7 +294,8 @@ let test_algorithm_with_failures () =
   let params = Params.make ~alpha:2.0 ~n_estimate:n ~d:8 () in
   let fault = Rumor_sim.Fault.make ~link_loss:0.1 () in
   let res =
-    Run.once ~fault ~rng ~graph:g ~protocol:(Algorithm.make params) ~source:0 ()
+    Engine.run ~fault ~rng ~topology:(Rumor_sim.Topology.of_graph g)
+      ~protocol:(Algorithm.make params) ~sources:[ 0 ] ()
   in
   Alcotest.(check bool) "tolerates 10% loss" true (Engine.success res)
 

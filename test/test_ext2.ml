@@ -6,6 +6,7 @@ module Rng = Rumor_test_support.Rng
 module Graph = Rumor_test_support.Graph
 module Walk = Rumor_test_support.Walk
 module Io = Rumor_graph.Io
+module Topology = Rumor_sim.Topology
 module Classic = Rumor_test_support.Classic
 module Regular = Rumor_gen.Regular
 module Async = Rumor_sim.Async
@@ -23,7 +24,7 @@ module Sparkline = Rumor_test_support.Sparkline
 let test_async_push_completes () =
   let rng = Rng.create 1 in
   let res =
-    Async.run ~rng ~graph:(Classic.complete 256)
+    Async.run ~rng ~topology:(Topology.of_graph (Classic.complete 256))
       ~protocol:(Baselines.push ~horizon:100 ())
       ~sources:[ 0 ] ()
   in
@@ -36,7 +37,7 @@ let test_async_time_logarithmic () =
   let time_for n =
     let rng = Rng.create 2 in
     let res =
-      Async.run ~rng ~graph:(Classic.complete n)
+      Async.run ~rng ~topology:(Topology.of_graph (Classic.complete n))
         ~protocol:(Baselines.push ~horizon:200 ())
         ~sources:[ 0 ] ()
     in
@@ -58,7 +59,8 @@ let test_async_algorithm_on_regular () =
   let g = Regular.sample_connected ~rng ~n ~d:8 Regular.Pairing in
   let params = Params.make ~alpha:3.0 ~n_estimate:n ~d:8 () in
   let res =
-    Async.run ~rng ~graph:g ~protocol:(Algorithm.make params) ~sources:[ 0 ] ()
+    Async.run ~rng ~topology:(Topology.of_graph g)
+      ~protocol:(Algorithm.make params) ~sources:[ 0 ] ()
   in
   Alcotest.(check bool)
     (Printf.sprintf "nearly all informed (%d/%d)" res.Async.informed n)
@@ -70,7 +72,7 @@ let test_async_activation_rate () =
   let rng = Rng.create 4 in
   let n = 512 in
   let res =
-    Async.run ~rng ~graph:(Classic.cycle n)
+    Async.run ~rng ~topology:(Topology.of_graph (Classic.cycle n))
       ~protocol:(Baselines.push ~horizon:10 ())
       ~sources:[ 0 ] ()
   in
@@ -85,13 +87,13 @@ let test_async_validation () =
   Alcotest.check_raises "no sources" (Invalid_argument "Async.run: no sources")
     (fun () ->
       ignore
-        (Async.run ~rng ~graph:(Classic.complete 4)
+        (Async.run ~rng ~topology:(Topology.of_graph (Classic.complete 4))
            ~protocol:(Baselines.push ~horizon:5 ())
            ~sources:[] ()));
   Alcotest.check_raises "bad source" (Invalid_argument "Async.run: bad source")
     (fun () ->
       ignore
-        (Async.run ~rng ~graph:(Classic.complete 4)
+        (Async.run ~rng ~topology:(Topology.of_graph (Classic.complete 4))
            ~protocol:(Baselines.push ~horizon:5 ())
            ~sources:[ 7 ] ()))
 
@@ -99,7 +101,7 @@ let test_async_total_loss () =
   let rng = Rng.create 6 in
   let fault = Rumor_sim.Fault.make ~link_loss:1. () in
   let res =
-    Async.run ~fault ~rng ~graph:(Classic.complete 64)
+    Async.run ~fault ~rng ~topology:(Topology.of_graph (Classic.complete 64))
       ~protocol:(Baselines.push ~horizon:20 ())
       ~sources:[ 0 ] ()
   in
@@ -109,7 +111,7 @@ let test_async_deterministic () =
   let go () =
     let rng = Rng.create 7 in
     let res =
-      Async.run ~rng ~graph:(Classic.complete 128)
+      Async.run ~rng ~topology:(Topology.of_graph (Classic.complete 128))
         ~protocol:(Baselines.push ~horizon:50 ())
         ~sources:[ 0 ] ()
     in

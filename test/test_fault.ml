@@ -268,7 +268,7 @@ let test_async_honours_directional_loss () =
   let silenced =
     Async.run
       ~fault:(Fault.plan ~push_loss:1. ())
-      ~rng:(Rng.create 22) ~graph:(Classic.complete 32)
+      ~rng:(Rng.create 22) ~topology:(Topology.of_graph (Classic.complete 32))
       ~protocol:(pusher ~horizon:30 ())
       ~sources:[ 0 ] ()
   in
@@ -277,12 +277,40 @@ let test_async_honours_directional_loss () =
   let spared =
     Async.run
       ~fault:(Fault.plan ~pull_loss:1. ())
-      ~rng:(Rng.create 22) ~graph:(Classic.complete 32)
+      ~rng:(Rng.create 22) ~topology:(Topology.of_graph (Classic.complete 32))
       ~protocol:(pusher ~horizon:30 ())
       ~sources:[ 0 ] ()
   in
   Alcotest.(check int) "pull loss spares an async pusher" 32
     spared.Async.informed
+
+(* A Poisson clock has no rounds to tick a runtime on: bursts, node
+   faults and partitions are refused, never silently dropped. The
+   independent components still run, on an implicit view as on a graph. *)
+let test_async_rejects_round_faults () =
+  let run fault =
+    Async.run ~fault ~rng:(Rng.create 23)
+      ~topology:(Topology.implicit_regular ~seed:5 ~n:256 ~d:6)
+      ~protocol:(pusher ~horizon:30 ())
+      ~sources:[ 0 ] ()
+  in
+  let refused =
+    Invalid_argument
+      "Async.run: bursts, node faults and partitions need synchronous rounds"
+  in
+  List.iter
+    (fun (what, fault) ->
+      Alcotest.check_raises what refused (fun () -> ignore (run fault)))
+    [
+      ("burst", Fault.plan ~burst:(Fault.burst ~loss:0.2 ~burst_len:3.) ());
+      ("crash rate", Fault.plan ~crash_rate:0.01 ());
+      ("strike", Fault.plan ~strike:(Fault.strike ~at_round:2 ~count:3 ()) ());
+      ( "partition",
+        Fault.plan ~partition:(Fault.partition ~split_at:2 ~heal_at:5 ()) () );
+    ];
+  let lossy = run (Fault.plan ~call_failure:0.1 ~link_loss:0.1 ()) in
+  Alcotest.(check int) "communication faults still run" 256
+    lossy.Async.informed
 
 (* --- regression: crash recovering after completion needs repair ---
 
@@ -391,6 +419,8 @@ let () =
             test_delivery_ok_directional;
           Alcotest.test_case "async directional loss" `Quick
             test_async_honours_directional_loss;
+          Alcotest.test_case "async rejects round-ticked faults" `Quick
+            test_async_rejects_round_faults;
         ] );
       ( "crash",
         [

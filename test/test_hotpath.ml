@@ -159,7 +159,9 @@ let test_pinned_async () =
   let rng = Rng.create 17 in
   let g = Regular.sample_connected ~rng ~n:512 ~d:8 Regular.Pairing in
   let p = Algorithm.make (Params.make ~alpha:2.0 ~n_estimate:512 ~d:8 ()) in
-  let a = Async.run ~rng ~graph:g ~protocol:p ~sources:[ 0 ] () in
+  let a =
+    Async.run ~rng ~topology:(Topology.of_graph g) ~protocol:p ~sources:[ 0 ] ()
+  in
   let line =
     Printf.sprintf "act=%d informed=%d tx=%d comp=%s" a.Async.activations
       a.Async.informed a.Async.transmissions

@@ -15,8 +15,9 @@
    - The incremental census (no churn hooks) and the full per-round
      recount (hooks installed) must agree on every field — the census
      invariant documented on [Kernel].
-   - A single-message [Multi.run] under communication-only faults is
-     the same simulation as [Engine.run], table for table.
+   - A single-message [Multi.run] is the same simulation as
+     [Engine.run] under every fault plan, bursts, crashes and strikes
+     included: both drive the whole plan through one runtime.
 
    Both state stores take one delivery loop whose checks depend on what
    can fail. Two more generators cover its regimes: the fault-free one
@@ -28,13 +29,17 @@
    generators against the reference. Tests that count [neighbor] and
    [alive] calls show which checks run where.
 
-   Plus churn-hook smoke tests for the hook surface Multi/Async gained
-   from the kernel. *)
+   The differentials that also draw gated configurations, the shape of
+   a repair epoch, call [Kernel.run] on one table, which is what
+   [Engine.run] runs; the multi-table census and store differentials
+   call it with several tables. Plus the asynchronous driver's trace
+   accounting. *)
 
 module Rng = Rumor_test_support.Rng
 module Graph = Rumor_test_support.Graph
 module Regular = Rumor_gen.Regular
 module Engine = Rumor_sim.Engine
+module Kernel = Rumor_sim.Kernel
 module Multi = Rumor_sim.Multi
 module Async = Rumor_sim.Async
 module Fault = Rumor_sim.Fault
@@ -302,6 +307,48 @@ let same_engine_engine (a : Engine.result) (b : Engine.result) =
   && a.Engine.knows = b.Engine.knows
   && a.Engine.down = b.Engine.down
 
+(* What [Engine.run] runs, with an optional gate: [Kernel.run] on one
+   table. [Engine.run] takes no gate (only repair epochs gate, through
+   [Kernel.run_epochs]), so the differentials that draw gated
+   configurations compare the kernel's result, table 0, with the
+   reference. *)
+let kernel_run ?gate ?skew ?on_round_end ?packed ~fault ~stop_when_complete
+    ~rng ~topology ~protocol ~sources () =
+  Kernel.run ?gate ?skew ?on_round_end ?packed ~fault ~stop_when_complete ~rng
+    ~topology ~protocol
+    ~tables:[| { Kernel.sources; created = 0 } |]
+    ()
+
+let same_kernel_ref (k : Kernel.result) (f : Ref_engine.result) =
+  let t = k.Kernel.tables.(0) in
+  k.Kernel.rounds = f.Ref_engine.rounds
+  && t.Kernel.completion_round = f.Ref_engine.completion_round
+  && t.Kernel.informed = f.Ref_engine.informed
+  && k.Kernel.population = f.Ref_engine.population
+  && t.Kernel.push_tx = f.Ref_engine.push_tx
+  && t.Kernel.pull_tx = f.Ref_engine.pull_tx
+  && k.Kernel.channels = f.Ref_engine.channels
+  && Rumor_test_support.Bitset.to_bool_array t.Kernel.knows
+     = f.Ref_engine.knows
+  && k.Kernel.down = f.Ref_engine.down
+
+(* Two kernel runs agree on every field, table by table, trace rows
+   included. *)
+let same_kernel (a : Kernel.result) (b : Kernel.result) =
+  a.Kernel.rounds = b.Kernel.rounds
+  && a.Kernel.channels = b.Kernel.channels
+  && a.Kernel.population = b.Kernel.population
+  && a.Kernel.down = b.Kernel.down
+  && a.Kernel.tables = b.Kernel.tables
+  && Option.map Trace.rows a.Kernel.trace = Option.map Trace.rows b.Kernel.trace
+
+(* [k] one-source tables with staggered creation times, drawn from
+   [c]. *)
+let tables_of c ~k ~n =
+  Array.of_list
+    (List.init k (fun j ->
+         { Kernel.sources = [ Rng.int c n ]; created = j * Rng.int c 4 }))
+
 (* Engine vs reference vs full-census Engine: one random configuration,
    three simulations from the same seed, all fields equal. *)
 let engine_differential =
@@ -422,36 +469,26 @@ let packed_codec_roundtrip =
                        steps);
         })
 
-(* A single rumor through Multi is the same simulation as Engine, as
-   long as the plan only uses the communication modes both fault views
-   sample identically (link/call/asymmetric loss; no bursts, crashes or
-   strikes). *)
+(* A single rumor through Multi is the same simulation as Engine under
+   every plan the generator draws: bursts, crashes, recoveries and
+   strikes apply to both through the same runtime. *)
 let multi_singleton_differential =
   QCheck.Test.make ~count:60
-    ~name:"single-message Multi.run = Engine.run (communication faults)"
+    ~name:"single-message Multi.run = Engine.run (every fault plan)"
     QCheck.small_int
     (fun seed ->
       let cfg = config_of_seed seed in
-      let fault =
-        {
-          cfg.fault with
-          Fault.burst = None;
-          crash_rate = 0.;
-          recover_rate = 0.;
-          strike = None;
-        }
-      in
       let g = graph_of cfg in
       let topology = Topology.of_graph g in
       let source = Rng.int (Rng.create (0x50 + seed)) (Graph.n g) in
       with_protocol cfg (fun protocol ->
           let e =
-            Engine.run ~fault ~rng:(Rng.create (0xF00D + seed)) ~topology
-              ~protocol ~sources:[ source ] ()
+            Engine.run ~fault:cfg.fault ~rng:(Rng.create (0xF00D + seed))
+              ~topology ~protocol ~sources:[ source ] ()
           in
           let m =
-            Multi.run ~fault ~rng:(Rng.create (0xF00D + seed)) ~topology
-              ~protocol
+            Multi.run ~fault:cfg.fault ~rng:(Rng.create (0xF00D + seed))
+              ~topology ~protocol
               ~messages:[ { Multi.source; created = 0 } ]
               ()
           in
@@ -463,12 +500,12 @@ let multi_singleton_differential =
           && mr.Multi.informed = e.Engine.informed
           && mr.Multi.transmissions = Engine.transmissions e))
 
-(* Multi's census invariant: installing a no-op churn hook switches to
-   the full per-round recount and must change nothing, message by
-   message, over staggered creation times. *)
+(* The census invariant with several tables: installing a no-op churn
+   hook switches to the full per-round recount and must change nothing,
+   table by table, over staggered creation times. *)
 let multi_census_differential =
   QCheck.Test.make ~count:60
-    ~name:"Multi.run incremental census = full census"
+    ~name:"Kernel.run tables: incremental census = full census"
     QCheck.small_int
     (fun seed ->
       let cfg = config_of_seed seed in
@@ -476,24 +513,14 @@ let multi_census_differential =
       let topology = Topology.of_graph g in
       let c = Rng.create (0x5AC + seed) in
       let k = 1 + Rng.int c 3 in
-      let messages =
-        List.init k (fun j ->
-            { Multi.source = Rng.int c (Graph.n g); created = j * Rng.int c 4 })
-      in
+      let tables = tables_of c ~k ~n:(Graph.n g) in
       with_protocol cfg (fun protocol ->
           let run ?on_round_end () =
-            Multi.run ?on_round_end ~fault:cfg.fault ~collect_trace:true
+            Kernel.run ?on_round_end ~fault:cfg.fault ~collect_trace:true
               ~rng:(Rng.create (0xF00D + seed))
-              ~topology ~protocol ~messages ()
+              ~topology ~protocol ~tables ()
           in
-          let a = run () in
-          let b = run ~on_round_end:(fun _ -> ()) () in
-          a.Multi.rounds = b.Multi.rounds
-          && a.Multi.channels = b.Multi.channels
-          && a.Multi.population = b.Multi.population
-          && a.Multi.messages = b.Multi.messages
-          && Trace.rows (Option.get a.Multi.trace)
-             = Trace.rows (Option.get b.Multi.trace)))
+          same_kernel (run ()) (run ~on_round_end:(fun _ -> ()) ())))
 
 (* ------------------------------------------------------------------ *)
 (* The fault-free regime.                                             *)
@@ -552,25 +579,21 @@ let fault_free_protocol cfg pc =
 
 let fault_free_differential =
   QCheck.Test.make ~count:80
-    ~name:"fault-free: Engine.run = reference = ~packed:false, Multi packed = boxed"
+    ~name:"fault-free: Engine.run = reference = ~packed:false, tables packed = boxed"
     QCheck.small_int
     (fun seed ->
       let cfg = fault_free_of_seed seed in
       let skew = if cfg.skewed then Some (fun v -> v mod 3) else None in
       let gate = gate_of cfg in
       let sources = [ Rng.int (Rng.create (0x50 + seed)) cfg.n ] in
-      let c = Rng.create (0x5AC + seed) in
-      let messages =
-        List.init 2 (fun j ->
-            { Multi.source = Rng.int c cfg.n; created = j * Rng.int c 4 })
-      in
+      let tables = tables_of (Rng.create (0x5AC + seed)) ~k:2 ~n:cfg.n in
       let on_topology topology =
         fault_free_protocol cfg
           {
             check =
               (fun protocol ->
                 let run packed =
-                  Engine.run ~packed ?skew ?gate ~fault:cfg.fault
+                  kernel_run ~packed ?skew ?gate ~fault:cfg.fault
                     ~stop_when_complete:cfg.stop
                     ~rng:(Rng.create (0xF00D + seed))
                     ~topology ~protocol ~sources ()
@@ -582,20 +605,14 @@ let fault_free_differential =
                     ~topology ~protocol ~sources ()
                 in
                 let multi packed =
-                  Multi.run ~packed ~fault:cfg.fault ~collect_trace:true
+                  Kernel.run ~packed ~fault:cfg.fault ~collect_trace:true
                     ~rng:(Rng.create (0xF00D + seed))
-                    ~topology ~protocol ~messages ()
+                    ~topology ~protocol ~tables ()
                 in
                 let packed = run true in
-                let m = multi true and m' = multi false in
-                same_engine_ref packed reference
-                && same_engine_engine packed (run false)
-                && m.Multi.rounds = m'.Multi.rounds
-                && m.Multi.channels = m'.Multi.channels
-                && m.Multi.population = m'.Multi.population
-                && m.Multi.messages = m'.Multi.messages
-                && Trace.rows (Option.get m.Multi.trace)
-                   = Trace.rows (Option.get m'.Multi.trace));
+                same_kernel_ref packed reference
+                && same_kernel packed (run false)
+                && same_kernel (multi true) (multi false));
           }
       in
       on_topology (Topology.of_graph (graph_of cfg))
@@ -679,7 +696,7 @@ let node_fault_differential =
             check =
               (fun protocol ->
                 let run ?on_round_end packed =
-                  Engine.run ~packed ?skew ?gate ?on_round_end ~fault:cfg.fault
+                  kernel_run ~packed ?skew ?gate ?on_round_end ~fault:cfg.fault
                     ~stop_when_complete:cfg.stop
                     ~rng:(Rng.create (0xF00D + seed))
                     ~topology ~protocol ~sources ()
@@ -691,10 +708,9 @@ let node_fault_differential =
                     ~topology ~protocol ~sources ()
                 in
                 let packed = run true in
-                same_engine_ref packed reference
-                && same_engine_engine packed (run false)
-                && same_engine_engine packed
-                     (run ~on_round_end:(fun _ -> ()) true));
+                same_kernel_ref packed reference
+                && same_kernel packed (run false)
+                && same_kernel packed (run ~on_round_end:(fun _ -> ()) true));
           }
       in
       on_topology (Topology.of_graph (graph_of cfg))
@@ -729,7 +745,7 @@ let coin_differential =
           let sources = [ Rng.int (Rng.create (0x50 + seed)) cfg.n ] in
           let on_topology topology =
             let engine =
-              Engine.run ~packed:false ?skew ?gate ~fault:cfg.fault
+              kernel_run ~packed:false ?skew ?gate ~fault:cfg.fault
                 ~stop_when_complete:cfg.stop
                 ~rng:(Rng.create (0xF00D + seed))
                 ~topology ~protocol:(coin_protocol cfg) ~sources ()
@@ -740,7 +756,7 @@ let coin_differential =
                 ~rng:(Rng.create (0xF00D + seed))
                 ~topology ~protocol:(coin_protocol cfg) ~sources ()
             in
-            same_engine_ref engine reference
+            same_kernel_ref engine reference
           in
           on_topology (Topology.of_graph (graph_of cfg))
           && on_topology
@@ -834,15 +850,15 @@ let test_alive_tick_and_rebuild () =
       }
     in
     let r =
-      Engine.run ?gate ?on_round_end ~fault ~rng:(Rng.create 9) ~topology
-        ~protocol:bef ~sources:[ 17 ] ()
+      kernel_run ?gate ?on_round_end ~fault ~stop_when_complete:false
+        ~rng:(Rng.create 9) ~topology ~protocol:bef ~sources:[ 17 ] ()
     in
     (r, !calls)
   in
   let r, calls = run Fault.none in
   if calls > 2 * n then
     Alcotest.failf "fault-free: %d alive calls over %d rounds of %d nodes"
-      calls r.Engine.rounds n;
+      calls r.Kernel.rounds n;
   let gate ~informed:_ ~node ~round:_ = node land 1 = 0 in
   let _, gated = run ~gate Fault.none in
   if gated > 2 * n then
@@ -852,9 +868,9 @@ let test_alive_tick_and_rebuild () =
   List.iter
     (fun (what, gate, fault, on_round_end) ->
       let r, calls = run ?gate ?on_round_end fault in
-      if calls > (2 * n * r.Engine.rounds) + (3 * n) then
+      if calls > (2 * n * r.Kernel.rounds) + (3 * n) then
         Alcotest.failf "%s: %d alive calls over %d rounds of %d nodes" what
-          calls r.Engine.rounds n)
+          calls r.Kernel.rounds n)
     [
       ("crash_rate 0.01", None, Fault.plan ~crash_rate:0.01 (), None);
       ("crash_rate 0.01 gated", Some gate, Fault.plan ~crash_rate:0.01 (), None);
@@ -862,100 +878,46 @@ let test_alive_tick_and_rebuild () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Churn-hook smoke tests.                                            *)
+(* Asynchronous trace accounting.                                     *)
 (* ------------------------------------------------------------------ *)
 
 let protocol () = Baselines.push_pull ~fanout:1 ~horizon:20 ()
 
-let test_multi_hooks () =
-  let rng = Rng.create 7 in
-  let g = Regular.sample_connected ~rng ~n:64 ~d:4 Regular.Pairing in
-  let topology = Topology.of_graph g in
-  let fired = ref 0 in
-  let r =
-    Multi.run ~collect_trace:true
-      ~on_round_end:(fun round ->
-        incr fired;
-        Alcotest.(check int) "hook sees the current round" !fired round)
-      ~reset:(fun () -> [ 0 ])
-      ~rng ~topology ~protocol:(protocol ())
-      ~messages:[ { Multi.source = 1; created = 0 } ]
-      ()
-  in
-  Alcotest.(check int) "hook fired once per round" r.Multi.rounds !fired;
-  let t = Option.get r.Multi.trace in
-  Alcotest.(check int) "one trace row per round" r.Multi.rounds (Trace.length t);
-  (* Node 0 is reset after every round, so the rumor can never cover
-     the live population and the final census must exclude it. *)
-  Alcotest.(check bool)
-    "reset node keeps the rumor incomplete" true
-    (r.Multi.messages.(0).Multi.informed < r.Multi.population);
-  Alcotest.(check (option int))
-    "no completion under perpetual reset" None
-    r.Multi.messages.(0).Multi.completion_round
-
-let test_async_hooks () =
+(* One row per unit of continuous time, the run's final partial unit
+   included: tracing draws nothing, and the rows sum to every
+   transmission and every first receipt of the untraced run. *)
+let test_async_trace () =
   let rng () = Rng.create 11 in
   let g = Regular.sample_connected ~rng:(rng ()) ~n:64 ~d:4 Regular.Pairing in
-  let run ?on_round_end ?reset ?(collect_trace = false) () =
-    (* Fresh rng with the same seed per run: the unit-boundary machinery
-       draws nothing, so hooked and bare runs must coincide. *)
-    let r = Rng.create 1213 in
-    ignore (Rng.int r 1);
-    Async.run ?on_round_end ?reset ~collect_trace ~rng:r ~graph:g
-      ~protocol:(protocol ()) ~sources:[ 3 ] ()
+  let run collect_trace =
+    Async.run ~collect_trace ~rng:(Rng.create 1213)
+      ~topology:(Topology.of_graph g) ~protocol:(protocol ()) ~sources:[ 3 ] ()
   in
-  let bare = run () in
-  let fired = ref 0 in
-  let hooked = run ~on_round_end:(fun _ -> incr fired) ~collect_trace:true () in
-  Alcotest.(check int) "activations unchanged by hooks"
-    bare.Async.activations hooked.Async.activations;
-  Alcotest.(check int) "informed unchanged by hooks" bare.Async.informed
-    hooked.Async.informed;
-  Alcotest.(check int) "transmissions unchanged by hooks"
-    bare.Async.transmissions hooked.Async.transmissions;
-  Alcotest.(check (float 0.)) "clock unchanged by hooks" bare.Async.time
-    hooked.Async.time;
-  (* The result's clock is the overshooting final jump, so boundaries
-     it crossed never flush: the hook count is the number of complete
-     units the run processed — one per trace row minus the partial row
-     that closes the run. *)
-  let rows = Trace.rows (Option.get hooked.Async.trace) in
-  Alcotest.(check bool) "hook fired at least once" true (!fired >= 1);
-  Alcotest.(check bool)
-    "hook fired once per completed unit" true
-    (!fired = List.length rows || !fired = List.length rows - 1);
+  let bare = run false and traced = run true in
+  Alcotest.(check int) "activations unchanged by tracing"
+    bare.Async.activations traced.Async.activations;
+  Alcotest.(check int) "informed unchanged by tracing" bare.Async.informed
+    traced.Async.informed;
+  Alcotest.(check (float 0.)) "clock unchanged by tracing" bare.Async.time
+    traced.Async.time;
+  let rows = Trace.rows (Option.get traced.Async.trace) in
+  Alcotest.(check (list int)) "one row per unit, in order"
+    (List.init (List.length rows) (fun i -> i + 1))
+    (List.map (fun (row : Trace.row) -> row.Trace.round) rows);
   let tx =
     List.fold_left
       (fun acc (row : Trace.row) -> acc + row.Trace.push_tx + row.Trace.pull_tx)
       0 rows
   in
   Alcotest.(check int) "trace rows account for every transmission"
-    hooked.Async.transmissions tx;
+    bare.Async.transmissions tx;
   let newly =
     List.fold_left
       (fun acc (row : Trace.row) -> acc + row.Trace.newly)
       0 rows
   in
   Alcotest.(check int) "trace rows account for every first receipt"
-    (hooked.Async.informed - 1) newly
-
-let test_async_reset () =
-  let rng = Rng.create 17 in
-  let g = Regular.sample_connected ~rng ~n:32 ~d:4 Regular.Pairing in
-  let resets = ref 0 in
-  let r =
-    Async.run
-      ~reset:(fun () ->
-        incr resets;
-        [ 0 ])
-      ~rng ~graph:g ~protocol:(protocol ()) ~sources:[ 1 ] ()
-  in
-  Alcotest.(check bool) "reset drained at unit boundaries" true (!resets > 0);
-  Alcotest.(check bool) "reset count bounded by the clock" true
-    (!resets <= int_of_float r.Async.time);
-  Alcotest.(check bool) "informed stays within population" true
-    (r.Async.informed <= Graph.n g)
+    (bare.Async.informed - 1) newly
 
 let () =
   Alcotest.run "kernel"
@@ -979,13 +941,9 @@ let () =
           Alcotest.test_case "alive calls: tick and rebuild only" `Quick
             test_alive_tick_and_rebuild;
         ] );
-      ( "churn hooks",
+      ( "trace",
         [
-          Alcotest.test_case "multi hooks fire and stay consistent" `Quick
-            test_multi_hooks;
-          Alcotest.test_case "async hooks leave the run unchanged" `Quick
-            test_async_hooks;
-          Alcotest.test_case "async reset drains at unit boundaries" `Quick
-            test_async_reset;
+          Alcotest.test_case "async rows sum to the run's deliveries" `Quick
+            test_async_trace;
         ] );
     ]

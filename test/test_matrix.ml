@@ -443,6 +443,38 @@ let test_all_crashed_tx_per_node () =
         "rumor matrix" 0.
         (List.assoc "tx_per_node" (List.hd r.Matrix.outcomes).Matrix.metrics)
 
+(* [heap_bytes_per_node] measures the cell, not the process: a small
+   cell reads its per-node state as a positive figure, and the same
+   figure when it runs first and when a cell that allocates and drops a
+   larger state ran before it. Boxed per-node records are small values
+   the rep promotes; they must count, or the A13 and CI_FAULTS gates
+   could not see a reboxed store. *)
+let test_heap_reading_order_free () =
+  let heap text =
+    match Matrix.run ~domains:1 (spec_exn text) with
+    | Error e -> Alcotest.failf "run: %s" e
+    | Ok r ->
+        List.assoc "heap_bytes_per_node"
+          (List.hd r.Matrix.outcomes).Matrix.metrics
+  in
+  let cell ?(packed = true) ~n ~protocol () =
+    Printf.sprintf
+      "n = %d\ntopology = implicit-regular\nprotocol = %s\npacked = %b\n\
+       reps = 1\n"
+      n protocol packed
+  in
+  let small = cell ~n:65536 ~protocol:"bef" () in
+  let first = heap small in
+  if not (first > 0.) then
+    Alcotest.failf "bef's per-node state read as %g heap bytes per node" first;
+  ignore (heap (cell ~n:65536 ~protocol:"push-pull" ()));
+  Alcotest.(check (Alcotest.float 0.)) "after a heap-churning cell" first
+    (heap small);
+  let boxed = heap (cell ~packed:false ~n:65536 ~protocol:"bef" ()) in
+  if boxed < first +. 16. then
+    Alcotest.failf "boxed state read %g heap bytes per node, packed %g" boxed
+      first
+
 (* The committed grids replay the historical bench and CLI seeds; a
    reordered axis or a dropped seed+= annotation would silently move
    every cell onto new streams. *)
@@ -697,6 +729,8 @@ let () =
           Alcotest.test_case "results table" `Quick test_results_table;
           Alcotest.test_case "all crashed tx/node" `Quick
             test_all_crashed_tx_per_node;
+          Alcotest.test_case "heap reading ignores cell order" `Quick
+            test_heap_reading_order_free;
           Alcotest.test_case "committed grid seeds" `Quick
             test_committed_grid_seeds;
           Alcotest.test_case "quick twins match" `Quick test_quick_twins_match;

@@ -107,7 +107,7 @@ let test_extinct_rumor_stops_epochs () =
   in
   let cfg = Repair.config ~n:64 () in
   let r =
-    Repair.heal ~fault ~forget_on_recover:true ~config:cfg ~rng:(Rng.create 5)
+    Repair.heal ~fault ~config:cfg ~rng:(Rng.create 5)
       ~graph:g ~protocol:(pusher ~horizon:30) ~source:0 ()
   in
   Alcotest.(check int) "nobody informed" 0 r.Engine.informed;
