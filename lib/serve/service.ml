@@ -11,8 +11,10 @@ module Latency = Rumor_obs.Latency
    Lock order is pool -> service (the watchdog's failover callback
    takes the service mutex while the pool mutex is held); nothing ever
    takes the pool mutex while holding the service mutex, so the order
-   is acyclic. [on_terminal] notifications are always invoked with no
-   lock held.
+   is acyclic. The mailbox lock is innermost: [submit], retry promotion
+   and failover put while holding the service mutex, and the mailbox
+   takes no other lock. [on_terminal] notifications are always invoked
+   with no lock held.
 
    Nothing here polls on a fixed sleep. [changed] (on [t.mutex]) is
    broadcast by every terminal transition and every tick, so
@@ -69,6 +71,8 @@ type t = {
   cfg : config;
   mutex : Mutex.t;
   sessions : (int, Session.t) Hashtbl.t;  (** guarded by [mutex] *)
+  mutable in_flight : int;
+      (** accepted sessions not yet terminal; guarded by [mutex] *)
   mutable next_id : int;
   mutable backoff : Session.t list;  (** sessions waiting out a retry gap *)
   mutable draining : bool;
@@ -125,7 +129,8 @@ let terminal_locked t s outcome ~notifications =
     s.Session.state <- Session.Done outcome;
     s.Session.finished_at <- Unix.gettimeofday ();
     (* Stale-ify any zombie still running an old attempt. *)
-    Atomic.incr s.Session.attempt_token
+    Atomic.incr s.Session.attempt_token;
+    t.in_flight <- t.in_flight - 1
   end;
   Monitor.note_terminal t.monitor ~already_terminal:already outcome;
   if not already then begin
@@ -136,11 +141,6 @@ let terminal_locked t s outcome ~notifications =
 
 let flush_notifications t ns =
   List.iter (fun s -> t.on_terminal s) (List.rev !ns)
-
-let in_flight_locked t =
-  Hashtbl.fold
-    (fun _ s acc -> if Session.is_terminal s then acc else acc + 1)
-    t.sessions 0
 
 let retry_or_fail_locked t s reason ~now ~notifications =
   s.Session.last_error <- Some reason;
@@ -308,11 +308,19 @@ let submit ?(notify = false) ?(conn = -1) t spec =
               s.Session.degraded <- true;
               Monitor.incr t.monitor `Degraded
             end);
-        if Mailbox.try_put t.mailbox s then begin
-          Monitor.incr t.monitor `Accepted;
-          with_lock t (fun () -> Hashtbl.replace t.sessions s.Session.id s);
-          Accepted s
-        end
+        (* Enqueued and counted under one lock, so a worker that takes
+           the session at once cannot finish it before it is counted. *)
+        let accepted =
+          with_lock t (fun () ->
+              Mailbox.try_put t.mailbox s
+              && begin
+                Monitor.incr t.monitor `Accepted;
+                Hashtbl.replace t.sessions s.Session.id s;
+                t.in_flight <- t.in_flight + 1;
+                true
+              end)
+        in
+        if accepted then Accepted s
         else begin
           Monitor.incr t.monitor `Rejected;
           Rejected
@@ -409,6 +417,7 @@ let create ?(on_terminal = fun _ -> ()) cfg =
       cfg;
       mutex = Mutex.create ();
       sessions = Hashtbl.create 256;
+      in_flight = 0;
       next_id = 1;
       backoff = [];
       draining = false;
@@ -448,7 +457,7 @@ let create ?(on_terminal = fun _ -> ()) cfg =
   t
 
 let queue_length t = Mailbox.length t.mailbox
-let in_flight t = with_lock t (fun () -> in_flight_locked t)
+let in_flight t = with_lock t (fun () -> t.in_flight)
 let ewma_attempt_s t = with_lock t (fun () -> t.ewma_attempt_s)
 
 let drain t = with_lock t (fun () -> t.draining <- true)
@@ -477,7 +486,7 @@ let stats_json t =
    passes. *)
 let settle_locked t ~deadline =
   let rec wait () =
-    if in_flight_locked t = 0 then true
+    if t.in_flight = 0 then true
     else if Unix.gettimeofday () > deadline then false
     else begin
       Condition.wait t.changed t.mutex;

@@ -1,9 +1,8 @@
 (* Bytes-backed fixed-width unsigned cells for per-node counters.
 
    The kernel's per-rumor tables used to keep one machine word (8
-   bytes) per node for every small counter — receipt stamps bounded by
-   the horizon, duplicate-delivery tallies that rarely exceed a few
-   dozen. At n = 10^8 each such array is 800 MB; the values fit in one
+   bytes) per node for every small counter, such as the
+   duplicate-delivery tallies that rarely exceed a few dozen. At n = 10^8 each such array is 800 MB; the values fit in one
    or two bytes. A [Cells.t] stores them at their natural width over a
    flat [Bytes.t], the same shape as {!Bitset} one level up.
 

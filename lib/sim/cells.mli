@@ -2,9 +2,8 @@
 
     A [bool array] costs a word per flag and an [int array] a word per
     counter; {!Bitset} shrinks the former to a bit, this module shrinks
-    the latter to its natural width. The kernel's receipt stamps are
-    bounded by the run horizon (one or two bytes), its duplicate
-    tallies by the per-round delivery count (two bytes), and a
+    the latter to its natural width. The kernel's duplicate tallies
+    are bounded by the per-round delivery count (two bytes), and a
     packed-state protocol's whole per-node record by its declared bit
     width — at n = 10^8 that is the difference between 800 MB and
     100–200 MB per array.

@@ -34,6 +34,11 @@ type store = {
   s_receive : int -> round:int -> unit;
   s_feedback : int -> round:int -> unit;
   s_quiescent : int -> round:int -> bool;
+  s_listens : bool;
+      (* [s_feedback] is not the library's identity, recognised by
+         physical equality: a protocol that passes its own identity
+         closure still runs correctly, and only stages its
+         duplicates for nothing. *)
 }
 
 let boxed_store (protocol : _ Protocol.t) cap =
@@ -47,6 +52,7 @@ let boxed_store (protocol : _ Protocol.t) cap =
       (fun v ~round -> state.(v) <- protocol.Protocol.feedback state.(v) ~round);
     s_quiescent =
       (fun v ~round -> protocol.Protocol.quiescent state.(v) ~round);
+    s_listens = protocol.Protocol.feedback != Protocol.no_feedback;
   }
 
 let packed_store (p : Protocol.packed_ops) cap =
@@ -64,6 +70,7 @@ let packed_store (p : Protocol.packed_ops) cap =
         Cells.set cells v (p.Protocol.p_feedback (Cells.get cells v) ~round));
     s_quiescent =
       (fun v ~round -> p.Protocol.p_quiescent (Cells.get cells v) ~round);
+    s_listens = p.Protocol.p_feedback != Protocol.p_no_feedback;
   }
 
 let store_of ~packed (protocol : _ Protocol.t) cap =
@@ -72,14 +79,16 @@ let store_of ~packed (protocol : _ Protocol.t) cap =
   | None -> boxed_store protocol cap
 
 (* Per-rumor state. Every table owns its informed set, protocol state,
-   decision cache, end-of-round receipt/feedback staging and
+   the round's decisions, end-of-round receipt/feedback staging and
    accounting; the round's channel set is shared by all of them.
 
    Staged ids live only in the [pending]/[dup_mark] bitsets and are
    applied by an ascending word-parallel scan, in either store: no
    capacity-sized word array is allocated per rumor. A protocol whose
    [receive]/[feedback] draws randomness (the Demers coin variants)
-   therefore sees its draws assigned in id order, not delivery order. *)
+   therefore sees its draws assigned in id order, not delivery order.
+   [dups] and [dup_mark] are empty unless the protocol listens, so
+   [dup_len] stays 0 and the feedback phase does nothing. *)
 type tstate = {
   created : int;
   srcs : int list;
@@ -87,7 +96,6 @@ type tstate = {
   store : store;
   dec_push : Bitset.t;
   dec_pull : Bitset.t;
-  stamp : Cells.t;
   pending : Bitset.t;
   mutable pending_len : int;
   dups : Cells.t;
@@ -146,22 +154,20 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
       tables;
     !h + max_skew
   in
-  (* Receipt stamps hold round numbers in [1, horizon]: one byte for
-     the paper's O(log n) schedules, two up to 65535 rounds. *)
-  let stamp_width = Cells.width_for (max 1 horizon) in
   let mk_table (spec : table) =
+    let store = store_of ~packed protocol cap in
+    let tally = if store.s_listens then cap else 0 in
     {
       created = spec.created;
       srcs = spec.sources;
       informed = Bitset.create cap;
-      store = store_of ~packed protocol cap;
+      store;
       dec_push = Bitset.create cap;
       dec_pull = Bitset.create cap;
-      stamp = Cells.create stamp_width cap;
       pending = Bitset.create cap;
       pending_len = 0;
-      dups = Cells.create Cells.W16 cap;
-      dup_mark = Bitset.create cap;
+      dups = Cells.create Cells.W16 tally;
+      dup_mark = Bitset.create tally;
       dup_len = 0;
       know = 0;
       down_informed = 0;
@@ -186,12 +192,8 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
     tb.injected <- true
   in
   Array.iter (fun tb -> if tb.created = 0 then inject tb) tbs;
-  let mark tb v =
-    if not (Bitset.get tb.pending v) then begin
-      Bitset.set tb.pending v;
-      tb.pending_len <- tb.pending_len + 1
-    end
-  in
+  (* Every table runs the same protocol. *)
+  let listens = tbs.(0).store.s_listens in
   let record_dup tb v =
     let c = Cells.get tb.dups v in
     if c = 0 then begin
@@ -201,10 +203,13 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
     Cells.set tb.dups v (c + 1)
   in
   (* [s] delivered [tb]'s rumor to [v]: a first receipt, or a duplicate
-     that [s] counts as feedback. *)
+     that [s] counts as feedback when the protocol listens. *)
   let transmit tb s v =
-    if Bitset.get tb.informed v || Bitset.get tb.pending v then record_dup tb s
-    else mark tb v
+    if not (Bitset.get tb.informed v || Bitset.get tb.pending v) then begin
+      Bitset.set tb.pending v;
+      tb.pending_len <- tb.pending_len + 1
+    end
+    else if listens then record_dup tb s
   in
   (* Plain loops, not local recursive closures: the gate calls
      [informed_all] once per initiator, and a closure over [v] would be
@@ -266,38 +271,38 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
           done)
     else None
   in
-  (* Decision cache accessors, hoisted out of the round loop (the
-     closures close over [cur_round] instead of the round variable). A
-     table whose logical round has not started yet decides [silent]
-     without consulting the protocol, so it also draws no delivery
-     randomness. *)
-  let cur_round = ref 0 in
-  let decide_at tb v =
-    let r = !cur_round in
-    let logical = r - tb.created - skew_f v in
-    let d =
-      if logical < 1 then Protocol.silent
-      else tb.store.s_decide v ~round:logical
-    in
-    Bitset.assign tb.dec_push v d.push;
-    Bitset.assign tb.dec_pull v d.pull;
-    Cells.set tb.stamp v r
-  in
-  let push_of tb v =
-    if Cells.get tb.stamp v <> !cur_round then decide_at tb v;
-    Bitset.get tb.dec_push v
-  in
-  let pull_of tb v =
-    if Cells.get tb.stamp v <> !cur_round then decide_at tb v;
-    Bitset.get tb.dec_pull v
+  (* The round's decisions, taken before the initiator loop: one
+     ascending pass over each table's informed set, so the loop reads a
+     push or pull decision as one bit. A table whose logical round has
+     not started yet decides [silent] without consulting the protocol,
+     so it also draws no delivery randomness. Returns whether any
+     informed node pulls. *)
+  let decide_round r =
+    let any_pull = ref false in
+    for j = 0 to nt - 1 do
+      let tb = tbs.(j) in
+      Bitset.reset tb.dec_push;
+      Bitset.reset tb.dec_pull;
+      Bitset.iter_set tb.informed (fun v ->
+          let logical = r - tb.created - skew_f v in
+          if logical >= 1 then begin
+            let d = tb.store.s_decide v ~round:logical in
+            if d.push then Bitset.set tb.dec_push v;
+            if d.pull then begin
+              Bitset.set tb.dec_pull v;
+              any_pull := true
+            end
+          end)
+    done;
+    !any_pull
   in
   (* The delivery loop (contract in kernel.mli). [decide] is pure, so
-     the round's pull decisions may be taken before the initiator loop
-     and each initiator's push decisions before its channels. What can
-     fail is fixed per run: [can_be_down] when a node may be dead or
-     crashed in some round, [chan_can_fail] when an opened slot may not
-     become a channel. Neither holds in the paper's fault-free runs,
-     which then check nothing per node or per channel. *)
+     every decision of the round may be taken before the initiator
+     loop, for nodes no channel reaches too. What can fail is fixed per
+     run: [can_be_down] when a node may be dead or crashed in some
+     round, [chan_can_fail] when an opened slot may not become a
+     channel. Neither holds in the paper's fault-free runs, which then
+     check nothing per node or per channel. *)
   let can_be_down =
     Fault.has_node_faults fault || (not census_incremental) || !live <> cap
   in
@@ -325,21 +330,12 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
       Bytes.unsafe_set up b (Char.unsafe_chr !byte)
     done
   in
-  let rec pulls_from tb v =
-    v >= 0
-    && (pull_of tb v || pulls_from tb (Bitset.next_set tb.informed (v + 1)))
-  in
-  let rec any_pulls j =
-    j < nt
-    && (pulls_from tbs.(j) (Bitset.next_set tbs.(j).informed 0)
-       || any_pulls (j + 1))
-  in
   (* Per table: does the current initiator push this round. *)
   let pushes = Array.make nt false in
-  let gate_open u =
+  let gate_open u r =
     match gate with
     | None -> true
-    | Some g -> g ~informed:(informed_all u) ~node:u ~round:!cur_round
+    | Some g -> g ~informed:(informed_all u) ~node:u ~round:r
   in
   (* The current round's transmission counts. *)
   let push_now = ref 0 and pull_now = ref 0 in
@@ -351,7 +347,7 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
       tb.push_tx <- tb.push_tx + 1;
       transmit tb u w
     end;
-    if Bitset.get tb.informed w && pull_of tb w && pull_ok w then begin
+    if Bitset.get tb.dec_pull w && pull_ok w then begin
       incr pull_now;
       tb.pull_tx <- tb.pull_tx + 1;
       transmit tb w u
@@ -462,7 +458,6 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
   while (not !stop) && !round < horizon do
     incr round;
     let r = !round in
-    cur_round := r;
     Fault.begin_round ?on_recover ?on_crash rt ~rng ~round:r
       ~degree:topology.degree ~alive:topology.alive ~informed:informed_any;
     (* Inject rumors created at the end of the previous round. *)
@@ -474,9 +469,9 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
     pull_now := 0;
     let channels_now = ref 0 in
     if can_be_down then rebuild_up ();
-    let idle = not (any_pulls 0) in
+    let idle = not (decide_round r) in
     for u = 0 to cap - 1 do
-      if ((not can_be_down) || bit up u) && gate_open u then begin
+      if ((not can_be_down) || bit up u) && gate_open u r then begin
         let d = topology.degree u in
         if d > 0 then begin
           let k =
@@ -485,7 +480,7 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
           let any_push = ref false in
           for j = 0 to nt - 1 do
             let tb = tbs.(j) in
-            let p = Bitset.get tb.informed u && push_of tb u in
+            let p = Bitset.get tb.dec_push u in
             pushes.(j) <- p;
             if p then any_push := true
           done;

@@ -21,7 +21,7 @@
     partition windows apply whichever driver asked. Beyond that a
     synchronous driver chooses:
     - the {e tables} — one {!table} per rumor, each with its own
-      creation time, per-node protocol state, decision cache and
+      creation time, per-node protocol state, round decisions and
       transmission accounting, all sharing the round's channel set;
     - the {e hooks} — gate, churn ([on_round_end] / [reset]), recovery
       amnesia, skew, tracing.
@@ -58,23 +58,34 @@
     Both per-node state stores take one delivery loop. A protocol that
     declares {!Protocol.packed} ops stores its per-node state as int
     codes in a flat {!Cells.t} (1–4 bytes per node) instead of an ['st
-    array] of boxed records. Together with the bitset receipt/feedback
-    staging and the {!Cells}-backed decision stamps and duplicate
-    tallies, which every run uses, this takes a table from ~9 machine
-    words per node to a few bytes per node, which is what lets the
-    paper's Algorithms 1/2 run at n = 10^8. Pass [~packed:false] to
-    force the boxed representation (differential testing, debugging);
-    results are bit-identical. Duplicate tallies are 16-bit: more than
-    65535 redundant deliveries to one node in one round raises
-    [Invalid_argument] (explicit failure, never a silent wrap), and
-    likewise a run whose horizon exceeds [2^32 - 1] rounds.
+    array] of boxed records. Together with bitset decisions and
+    receipt staging, this takes a table from ~9 machine words per node
+    to a few bytes per node, which is what lets the paper's Algorithms
+    1/2 run at n = 10^8. Pass [~packed:false] to force the boxed
+    representation (differential testing, debugging); results are
+    bit-identical.
+
+    Each round, after the fault tick and the injections, one ascending
+    pass over each table's informed set calls [decide] once per
+    informed node (a node whose logical round has not started is
+    [silent] without a call) and records the answers in two bitsets.
+    The loop then reads a push or pull decision as one bit; no
+    per-node decision stamp exists. [decide] is pure ({!Protocol.t}),
+    so deciding early, or deciding a gated or crashed node that no
+    channel reaches, is unobservable.
+
+    Only a table whose protocol listens stages duplicates: one whose
+    [feedback] (or packed [p_feedback]) is not {!Protocol.no_feedback}
+    (or {!Protocol.p_no_feedback}), recognised by physical equality.
+    The others allocate no tallies and skip the feedback phase. A
+    listening table counts duplicates in 16-bit cells: more than 65535
+    redundant deliveries by one node in one round raises
+    [Invalid_argument] (explicit failure, never a silent wrap).
 
     Per up initiator the loop calls [gate] (when given, before
-    [topology.degree]), [topology.degree] and the selector, and takes
-    each table's push decision once; the round's pull decisions are
-    taken before the initiator loop. [decide] is pure ({!Protocol.t}), so deciding early
-    is unobservable. What the loop checks is fixed per run by what can
-    fail:
+    [topology.degree]), [topology.degree] and the selector, and reads
+    each table's push bit. What the loop checks is fixed per run by
+    what can fail:
     - {e A node can be down} under node faults (crash rate or strike),
       with [on_round_end] installed (churn may kill any id) or when
       some id is dead at the start. The loop then rebuilds an [up]
@@ -102,7 +113,8 @@
     draw per channel.
 
     At the end of each round every table applies its staged first
-    receipts, then its duplicate feedback, in ascending node id order
+    receipts, then (when it listens) its duplicate feedback, in
+    ascending node id order
     (a word-parallel bitset scan), whatever the delivery order was. A
     protocol whose [receive], [feedback] or [init] draws from its own
     rng (the Demers coin variants) therefore sees those draws assigned

@@ -66,9 +66,9 @@ type 'st t = {
   init : informed:bool -> 'st;  (** per-node state before round 1 *)
   decide : 'st -> round:int -> decision;
       (** transmission decision of an {e informed} node. Must be pure
-          (no draws, no hidden state): the kernel may take it before
-          the node's channels are opened, or for a node that no channel
-          reaches, and caches it for the round *)
+          (no draws, no hidden state): the synchronous kernel calls it
+          once per informed node per round, before any channel opens,
+          for nodes that no channel reaches (gated or crashed) too *)
   receive : 'st -> round:int -> 'st;
       (** state update when the rumor is first received in [round];
           visible to [decide] from round [round + 1] on. Applied at the
@@ -97,7 +97,12 @@ type 'st t = {
 (** A broadcast protocol with per-node state ['st]. *)
 
 val no_feedback : 'st -> round:int -> 'st
-(** The identity [feedback] for protocols that ignore the signal. *)
+(** The identity [feedback] for protocols that ignore the signal. The
+    synchronous kernel recognises this value by physical equality and
+    then stages no duplicates at all: no per-node tallies, no feedback
+    phase. An identity closure of the protocol's own is equally correct
+    but is not recognised, so the kernel stages and applies every
+    duplicate as a no-op. *)
 
 val p_no_feedback : int -> round:int -> int
-(** The identity packed [p_feedback]. *)
+(** The identity packed [p_feedback], recognised like {!no_feedback}. *)

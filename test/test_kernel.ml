@@ -27,7 +27,11 @@
    liveness is read from a per-round bitset. The Demers coin variants,
    which draw when a receipt or a duplicate is applied, run under both
    generators against the reference. Tests that count [neighbor] and
-   [alive] calls show which checks run where.
+   [alive] calls show which checks run where. Counting [decide] and
+   [feedback] calls shows that each round decides every informed node
+   once and that a protocol that listens hears every duplicate; a
+   differential shows that skipping the staging for the identity
+   feedback changes nothing.
 
    The differentials that also draw gated configurations, the shape of
    a repair epoch, call [Kernel.run] on one table, which is what
@@ -764,6 +768,208 @@ let coin_differential =
                   ~d:cfg.d))
         [ fault_free_of_seed seed; node_fault_of_seed seed ])
 
+(* ------------------------------------------------------------------ *)
+(* Decisions and duplicate staging.                                   *)
+(* ------------------------------------------------------------------ *)
+
+let uses_sentinel (protocol : _ Protocol.t) =
+  protocol.Protocol.feedback == Protocol.no_feedback
+  &&
+  match protocol.Protocol.packed with
+  | Some pk -> pk.Protocol.ops.Protocol.p_feedback == Protocol.p_no_feedback
+  | None -> true
+
+(* The same protocol with an identity feedback of its own: equal to the
+   sentinel, not the same value, so the kernel stages every duplicate
+   and applies each tally as a no-op. *)
+let own_identity (protocol : _ Protocol.t) =
+  {
+    protocol with
+    Protocol.feedback = (fun st ~round:_ -> st);
+    packed =
+      Option.map
+        (fun pk ->
+          {
+            pk with
+            Protocol.ops =
+              { pk.Protocol.ops with Protocol.p_feedback = (fun c ~round:_ -> c) };
+          })
+        protocol.Protocol.packed;
+  }
+
+(* Skipping the staging is unobservable: over the configurations of the
+   fault-free and node-fault generators (gates, faults, skew, several
+   tables, both stores) and the protocols that ignore feedback (push,
+   pull, push-pull, bef), the sentinel and an equal closure give the
+   same result, table by table, trace rows included. *)
+let staging_skip_differential =
+  QCheck.Test.make ~count:60
+    ~name:"identity feedback: no staging = staging an equal closure"
+    QCheck.small_int
+    (fun seed ->
+      List.for_all
+        (fun cfg ->
+          let skew = if cfg.skewed then Some (fun v -> v mod 3) else None in
+          let gate = gate_of cfg in
+          let c = Rng.create (0x5AC + seed) in
+          let tables = tables_of c ~k:(1 + Rng.int c 3) ~n:cfg.n in
+          let on_topology topology =
+            with_protocol cfg (fun protocol ->
+                let run protocol packed =
+                  Kernel.run ~packed ?skew ?gate ~fault:cfg.fault
+                    ~stop_when_complete:cfg.stop ~collect_trace:true
+                    ~rng:(Rng.create (0xF00D + seed))
+                    ~topology ~protocol ~tables ()
+                in
+                uses_sentinel protocol
+                && List.for_all
+                     (fun packed ->
+                       same_kernel (run protocol packed)
+                         (run (own_identity protocol) packed))
+                     [ true; false ])
+          in
+          on_topology (Topology.of_graph (graph_of cfg))
+          && on_topology
+               (Topology.implicit_regular ~seed:(0xD1CE + seed) ~n:cfg.n
+                  ~d:cfg.d))
+        [ fault_free_of_seed seed; node_fault_of_seed seed ])
+
+(* A protocol that listens still hears every duplicate. Each surviving
+   delivery is a first receipt or a duplicate, so a round's [feedback]
+   calls are its push and pull transmissions minus its new receipts,
+   under loss and crashes too, in either store. *)
+let test_listeners_hear_every_duplicate () =
+  let n = 512 and d = 6 in
+  let topology = Topology.implicit_regular ~seed:77 ~n ~d in
+  let base = Rumor_core.Feedback.feedback_counter ~k:2 ~horizon:40 () in
+  List.iter
+    (fun (what, fault) ->
+      List.iter
+        (fun packed ->
+          let calls = Array.make 64 0 in
+          let heard round = calls.(round) <- calls.(round) + 1 in
+          let protocol =
+            {
+              base with
+              Protocol.feedback =
+                (fun st ~round ->
+                  heard round;
+                  base.Protocol.feedback st ~round);
+              packed =
+                Option.map
+                  (fun pk ->
+                    let ops = pk.Protocol.ops in
+                    {
+                      pk with
+                      Protocol.ops =
+                        {
+                          ops with
+                          Protocol.p_feedback =
+                            (fun c ~round ->
+                              heard round;
+                              ops.Protocol.p_feedback c ~round);
+                        };
+                    })
+                  base.Protocol.packed;
+            }
+          in
+          let r =
+            Kernel.run ~packed ~fault ~collect_trace:true ~rng:(Rng.create 5)
+              ~topology ~protocol
+              ~tables:[| { Kernel.sources = [ 3 ]; created = 0 } |]
+              ()
+          in
+          let rows = Trace.rows (Option.get r.Kernel.trace) in
+          let where = Printf.sprintf "%s, packed %b" what packed in
+          List.iter
+            (fun (row : Trace.row) ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: round %d feedback calls" where
+                   row.Trace.round)
+                (row.Trace.push_tx + row.Trace.pull_tx - row.Trace.newly)
+                calls.(row.Trace.round))
+            rows;
+          if Array.fold_left ( + ) 0 calls = 0 then
+            Alcotest.failf "%s: no duplicate heard" where)
+        [ true; false ])
+    [
+      ("fault-free", Fault.none);
+      ("loss", Fault.plan ~link_loss:0.2 ~push_loss:0.1 ~pull_loss:0.1 ());
+      ("crashes", Fault.plan ~crash_rate:0.02 ~recover_rate:0.3 ());
+    ]
+
+(* Each round makes exactly one [decide] call per informed node of each
+   started table, gated nodes included, in either store. Without faults
+   or skew the nodes informed at the start of round [r] are those of
+   row [r - 1] plus the sources of the tables created at [r - 1]; a
+   no-op [on_round_end] closes each round's count. *)
+let test_decide_once_per_informed () =
+  let n = 256 and d = 6 in
+  let topology = Topology.implicit_regular ~seed:31 ~n ~d in
+  let base = Algorithm.make (Params.make ~alpha:1.0 ~fanout:4 ~n_estimate:n ~d ()) in
+  let tables =
+    [|
+      { Kernel.sources = [ 0; 9 ]; created = 0 };
+      { Kernel.sources = [ 17 ]; created = 2 };
+      { Kernel.sources = [ 40; 41; 42 ]; created = 5 };
+    |]
+  in
+  let gate ~informed:_ ~node ~round = (node + round) mod 3 <> 0 in
+  List.iter
+    (fun (gate, packed) ->
+      let calls = ref 0 and per_round = ref [] in
+      let protocol =
+        {
+          base with
+          Protocol.decide =
+            (fun st ~round ->
+              incr calls;
+              base.Protocol.decide st ~round);
+          packed =
+            Option.map
+              (fun pk ->
+                let ops = pk.Protocol.ops in
+                {
+                  pk with
+                  Protocol.ops =
+                    {
+                      ops with
+                      Protocol.p_decide =
+                        (fun c ~round ->
+                          incr calls;
+                          ops.Protocol.p_decide c ~round);
+                    };
+                })
+              base.Protocol.packed;
+        }
+      in
+      let r =
+        Kernel.run ?gate ~packed ~collect_trace:true
+          ~on_round_end:(fun _ ->
+            per_round := !calls :: !per_round;
+            calls := 0)
+          ~rng:(Rng.create 3) ~topology ~protocol ~tables ()
+      in
+      let started r =
+        Array.fold_left
+          (fun acc (t : Kernel.table) ->
+            if t.Kernel.created = r - 1 then acc + List.length t.Kernel.sources
+            else acc)
+          0 tables
+      in
+      let _, expected =
+        List.fold_left
+          (fun (before, acc) (row : Trace.row) ->
+            (row.Trace.informed, (before + started row.Trace.round) :: acc))
+          (0, [])
+          (Trace.rows (Option.get r.Kernel.trace))
+      in
+      Alcotest.(check (list int))
+        (Printf.sprintf "gated %b, packed %b: decide calls per round"
+           (gate <> None) packed)
+        expected !per_round)
+    [ (None, true); (None, false); (Some gate, true); (Some gate, false) ]
+
 (* The skip must actually fire where it is meant to, and only there: a
    wrong enabling condition would pass every differential above, which
    compare results, not work. [neighbor] calls are counted through a
@@ -933,7 +1139,17 @@ let () =
             fault_free_differential;
             node_fault_differential;
             coin_differential;
+            staging_skip_differential;
           ] );
+      (* Alcotest shortens every printed test name by the length of the
+         longest group name, so a group name stays within "differential". *)
+      ( "decisions",
+        [
+          Alcotest.test_case "listeners hear every duplicate" `Quick
+            test_listeners_hear_every_duplicate;
+          Alcotest.test_case "one decide per informed node per round" `Quick
+            test_decide_once_per_informed;
+        ] );
       ( "idle skip",
         [
           Alcotest.test_case "callee resolved only if it can fail" `Quick

@@ -559,6 +559,48 @@ let test_service_shutdown_clean () =
         (List.mem_assoc "monitor" fields)
   | _ -> Alcotest.fail "stats_json not an object"
 
+(* [in_flight] is a counter moved on accept and on a session's first
+   terminal transition. While a wedged session holds the only worker
+   nothing else moves, so a fold over the sessions the test holds must
+   read the same number, cancels included; once all settle both read
+   0 and the monitor's conservation check holds. *)
+let test_service_in_flight_counter () =
+  let config =
+    Service.config ~workers:1 ~queue_capacity:32 ~heartbeat_timeout_s:30. ()
+  in
+  with_service ~config (fun svc ->
+      let fold sessions =
+        List.fold_left
+          (fun acc s -> if Session.is_terminal s then acc else acc + 1)
+          0 sessions
+      in
+      let wedged =
+        submit_ok svc { quick_spec with Session.seed = 1300; wedge_ms = 1500. }
+      in
+      Alcotest.(check bool) "wedged session runs" true
+        (wait_for (fun () -> wedged.Session.state = Session.Running));
+      let queued =
+        List.init 12 (fun k ->
+            submit_ok svc { quick_spec with Session.seed = 1301 + k })
+      in
+      List.iteri
+        (fun k s ->
+          if k mod 3 = 0 then
+            Alcotest.(check bool) "queued session cancels" true
+              (Service.cancel svc s.Session.id))
+        queued;
+      let all = wedged :: queued in
+      Alcotest.(check int) "fold while wedged" 9 (fold all);
+      Alcotest.(check int) "counter = fold" (fold all) (Service.in_flight svc);
+      Alcotest.(check bool) "all settle" true
+        (wait_for (fun () -> List.for_all Session.is_terminal all));
+      Alcotest.(check int) "counter drained" 0 (Service.in_flight svc);
+      let m = Service.monitor svc in
+      Alcotest.(check bool) "conservation holds" true
+        (Monitor.reconcile m ~in_flight:(Service.in_flight svc));
+      Alcotest.(check int) "cancels are terminal" 4 (Monitor.count m `Cancelled);
+      Alcotest.(check bool) "no invariant violated" true (Monitor.ok m))
+
 let test_service_stress_with_faults () =
   (* The in-process analogue of the CI smoke: a burst of sessions with
      crash + wedge + loss injection sprinkled in; every accepted
@@ -949,6 +991,8 @@ let () =
             test_service_exact_retry_budget;
           Alcotest.test_case "clean shutdown" `Quick
             test_service_shutdown_clean;
+          Alcotest.test_case "in_flight counter = fold" `Quick
+            test_service_in_flight_counter;
           Alcotest.test_case "stress with faults" `Slow
             test_service_stress_with_faults;
         ] );
