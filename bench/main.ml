@@ -1127,10 +1127,12 @@ let a7 () =
             let params = Params.make ~alpha:2.0 ~n_estimate:n ~d () in
             Engine.run ~rng
               ~on_round_end:(fun r ->
-                if r = heal_round then
-                  match part with
-                  | Some p -> Rumor_p2p.Partition.heal o p
-                  | None -> ())
+                (* Healing restores edges only: no membership change. *)
+                (if r = heal_round then
+                   match part with
+                   | Some p -> Rumor_p2p.Partition.heal o p
+                   | None -> ());
+                [])
               ~topology:(Rumor_p2p.Overlay.to_topology o)
               ~protocol:(Algorithm.make params) ~sources:[ 0 ] ())
       in

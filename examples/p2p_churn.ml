@@ -48,7 +48,7 @@ let () =
     let res =
       Engine.run ~rng
         ~on_round_end:(fun _ ->
-          ignore (Churn.session overlay ~rng ~d ~join_prob:0.3 ~leave_prob:0.3 ()))
+          Churn.session overlay ~rng ~d ~join_prob:0.3 ~leave_prob:0.3 ())
         ~topology:(Overlay.to_topology overlay)
         ~protocol ~sources:[ source ] ()
     in

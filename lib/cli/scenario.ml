@@ -543,33 +543,29 @@ let repair_config scenario =
 let churn_on t = t.churn_rate >= 0. || t.join_prob > 0. || t.leave_prob > 0.
 
 (* Session churn mutates an overlay copy of [g]. Extra capacity leaves
-   room for joins beyond the initial size; the ids handed out for joins
-   are collected for the engine's [reset] hook, which restarts them
+   room for joins beyond the initial size. The round hook returns the
+   sessions' joins and leaves in order, so a joined id restarts
    uninformed. *)
 let churn_overlay scenario ~rng ~n_real g =
   let o = Overlay.of_graph ~capacity:(2 * n_real) g in
-  let joined = ref [] in
   let session ~join_prob ~leave_prob =
-    let ev = Churn.session o ~rng ~d:scenario.d ~join_prob ~leave_prob () in
-    Option.iter (fun v -> joined := v :: !joined) ev.Churn.joined
+    Churn.session o ~rng ~d:scenario.d ~join_prob ~leave_prob ()
   in
   let on_round_end _ =
-    if scenario.churn_rate >= 0. then
+    if scenario.churn_rate >= 0. then begin
       (* Rate churn: churn_rate * n symmetric sessions per round, the
          model of the self-healing frontier (E8). *)
       let ops = int_of_float (scenario.churn_rate *. float_of_int n_real) in
+      let changes = ref [] in
       for _ = 1 to ops do
-        session ~join_prob:0.5 ~leave_prob:0.5
-      done
-    else
-      session ~join_prob:scenario.join_prob ~leave_prob:scenario.leave_prob
+        changes :=
+          List.rev_append (session ~join_prob:0.5 ~leave_prob:0.5) !changes
+      done;
+      List.rev !changes
+    end
+    else session ~join_prob:scenario.join_prob ~leave_prob:scenario.leave_prob
   in
-  let reset () =
-    let l = !joined in
-    joined := [];
-    l
-  in
-  (o, on_round_end, reset)
+  (o, on_round_end)
 
 (* The single dispatch from a scenario to the kernel. The draw order
    (graph or view sample, then source, then the broadcast) is a
@@ -611,28 +607,27 @@ let run_rep ?monitor ?(collect_trace = false) ?graph scenario rng =
         Some (churn_overlay scenario ~rng ~n_real g)
     | _ -> None
   in
-  let topology, on_round_end, reset =
+  let topology, on_round_end =
     match churn with
-    | Some (o, on_round_end, reset) ->
-        (Overlay.to_topology o, Some on_round_end, Some reset)
-    | None -> (view, None, None)
+    | Some (o, on_round_end) -> (Overlay.to_topology o, Some on_round_end)
+    | None -> (view, None)
   in
   let fault = fault_plan scenario in
   let packed = scenario.packed in
   let result =
     match repair_config scenario with
     | Some config ->
-        Repair.self_heal ~fault ~collect_trace ?reset ?on_round_end ?monitor
+        Repair.self_heal ~fault ~collect_trace ?on_round_end ?monitor
           ~packed ~config ~rng ~topology ~protocol ~sources ()
     | None ->
         (* Repair runs with recovery amnesia on; without repair it is
            on exactly under churn. *)
         Engine.run ~fault ~collect_trace ~forget_on_recover:(churn <> None)
-          ?reset ?on_round_end ~stop_when_complete:(effective_stop scenario)
+          ?on_round_end ~stop_when_complete:(effective_stop scenario)
           ?monitor ~packed ~rng ~topology ~protocol ~sources ()
   in
   (match churn with
-  | Some (o, _, _) when not (Overlay.invariant o) ->
+  | Some (o, _) when not (Overlay.invariant o) ->
       failwith "churn left the overlay in an inconsistent state"
   | _ -> ());
   result

@@ -36,10 +36,11 @@
     claim).
 
     Churn keys [join_prob] / [leave_prob] run the broadcast on a
-    mutable overlay with one {!Rumor_p2p.Churn.session} tick per round;
-    joins re-enter uninformed. Either key nonzero enables the churn
-    harness (and, with repair on, combines it with self-healing
-    epochs). The alternative [churn_rate] key (mutually exclusive with
+    mutable overlay with one {!Rumor_p2p.Churn.session} tick per round,
+    whose joins and leaves the round hook reports to the kernel: a join
+    re-enters uninformed, even on a recycled id. Either key nonzero
+    enables the churn harness (and, with repair on, combines it with
+    self-healing epochs). The alternative [churn_rate] key (mutually exclusive with
     [join_prob]/[leave_prob]) instead runs [churn_rate * n] symmetric
     sessions (join and leave both at probability 0.5) per round — the
     churn model of the self-healing frontier (bench E8). [churn_rate =

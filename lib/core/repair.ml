@@ -124,9 +124,9 @@ let strategy cfg ~rng ~capacity ~epoch:_ ~knows =
   in
   { Engine.epoch_protocol = protocol cfg; epoch_gate = gate }
 
-let self_heal ?fault ?collect_trace ?reset ?on_round_end ?monitor ?packed
+let self_heal ?fault ?collect_trace ?on_round_end ?monitor ?packed
     ~config:cfg ~rng ~topology ~protocol ~sources () =
-  Engine.run_epochs ?fault ?collect_trace ~forget_on_recover:true ?reset
+  Engine.run_epochs ?fault ?collect_trace ~forget_on_recover:true
     ?on_round_end ?packed ~max_epochs:cfg.max_epochs ?monitor ~rng ~topology
     ~protocol
     ~repair:(strategy cfg ~rng ~capacity:topology.Topology.capacity)

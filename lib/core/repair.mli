@@ -94,8 +94,7 @@ val strategy :
 val self_heal :
   ?fault:Rumor_sim.Fault.t ->
   ?collect_trace:bool ->
-  ?reset:(unit -> int list) ->
-  ?on_round_end:(int -> unit) ->
+  ?on_round_end:(int -> Rumor_sim.Engine.change list) ->
   ?monitor:Rumor_sim.Invariant.t ->
   ?packed:bool ->
   config:config ->

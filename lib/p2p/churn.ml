@@ -45,8 +45,6 @@ let leave_random t ~rng =
   leave t ~rng ~node:v;
   v
 
-type event = { joined : int option; left : int option }
-
 let session t ~rng ~d ~join_prob ~leave_prob () =
   let joined =
     (* The join is skipped — never raised through — when the overlay is
@@ -56,12 +54,12 @@ let session t ~rng ~d ~join_prob ~leave_prob () =
       Rng.bernoulli rng join_prob
       && Overlay.node_count t < Overlay.capacity t
       && Overlay.edge_count t >= d / 2
-    then Some (join t ~rng ~d)
-    else None
+    then [ Rumor_sim.Engine.Joined (join t ~rng ~d) ]
+    else []
   in
   let left =
     if Rng.bernoulli rng leave_prob && Overlay.node_count t > d + 2 then
-      Some (leave_random t ~rng)
-    else None
+      [ Rumor_sim.Engine.Left (leave_random t ~rng) ]
+    else []
   in
-  { joined; left }
+  joined @ left

@@ -29,11 +29,6 @@ val leave_random : Overlay.t -> rng:Rumor_rng.Rng.t -> int
 (** Depart a uniformly random live node and return its id.
     @raise Failure on an empty overlay. *)
 
-type event = {
-  joined : int option;  (** id of the node that joined this tick, if any *)
-  left : int option;  (** id of the node that left this tick, if any *)
-}
-
 val session :
   Overlay.t ->
   rng:Rumor_rng.Rng.t ->
@@ -41,14 +36,15 @@ val session :
   join_prob:float ->
   leave_prob:float ->
   unit ->
-  event
+  Rumor_sim.Engine.change list
 (** One churn tick: with probability [join_prob] a node joins (skipped
     when the overlay is at capacity or has fewer than [d/2] edges to
     split — a saturated tick is dropped rather than raising mid-run),
     then with probability [leave_prob] a random node leaves (skipped
     when the overlay would drop below [d + 2] nodes, keeping the
-    regular structure meaningful). Returns which actions actually
-    fired; the joined id is what a healing harness feeds back to the
-    engine's [reset] hook so the newcomer starts uninformed even if its
-    id was recycled. Designed to be called from the engine's
-    [on_round_end]. *)
+    regular structure meaningful). Returns the actions that actually
+    fired, in order: [[Joined j]], [[Left l]], [[Joined j; Left l]] or
+    [[]]. Designed to be called from the engine's [on_round_end], which
+    returns them, so a newcomer starts uninformed even when its id was
+    recycled from a departed peer and a departed peer is no longer
+    counted. *)

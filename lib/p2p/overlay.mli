@@ -6,7 +6,8 @@
     maintained by a Markov process" setting the paper's introduction
     describes. {!to_topology} plugs an overlay straight into the
     simulation engine; mutations made by [on_round_end] callbacks are
-    visible in the next round. *)
+    visible in the next round, and the callback reports the nodes it
+    activated or deactivated ({!Churn.session} returns them). *)
 
 type t
 

@@ -5,10 +5,11 @@
     that cannot talk until connectivity heals. This module cuts an
     overlay along a vertex bipartition (removing all cross edges,
     remembering them) and can later heal it (re-adding exactly the
-    removed edges). Combined with the engine's [on_round_end] hook it
-    models a partition window during a broadcast; for partition windows
-    driven by the fault plan itself (no overlay mutation), see
-    [Rumor_sim.Fault.partition].
+    removed edges). Combined with the engine's [on_round_end] hook
+    (which reports no membership change: cutting and healing touch
+    edges only) it models a partition window during a broadcast; for
+    partition windows driven by the fault plan itself (no overlay
+    mutation), see [Rumor_sim.Fault.partition].
 
     An overlay carries {e at most one} unhealed cut at a time: stacking
     cuts would make healing order-dependent (a second split could

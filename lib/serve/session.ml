@@ -256,7 +256,9 @@ let exec ~topology ~deadline_factor ~round_budget_us ~beat t =
       if spec.crash_worker then raise Crash_injected
     end;
     if Atomic.get t.cancel then raise (Stop Cancelled_by_client);
-    if Unix.gettimeofday () > deadline then raise (Stop Deadline_expired)
+    if Unix.gettimeofday () > deadline then raise (Stop Deadline_expired);
+    (* A heartbeat: no node joins or leaves. *)
+    []
   in
   beat ();
   match

@@ -11,6 +11,8 @@ type epoch_stat = Kernel.epoch_stat = {
   repair_channels : int;
 }
 
+type change = Kernel.change = Joined of int | Left of int
+
 type result = {
   rounds : int;
   completion_round : int option;
@@ -63,12 +65,12 @@ let of_kernel ~repair (k : Kernel.result) =
     trace = k.Kernel.trace;
   }
 
-let run ?fault ?collect_trace ?stop_when_complete ?forget_on_recover ?reset
+let run ?fault ?collect_trace ?stop_when_complete ?forget_on_recover
     ?on_round_end ?skew ?monitor ?packed ~rng ~topology ~protocol ~sources () =
   validate ~where:"Engine.run" ~topology sources;
   of_kernel ~repair:[]
     (Kernel.run ?fault ?collect_trace ?stop_when_complete ?forget_on_recover
-       ?reset ?on_round_end ?skew ?monitor ?packed ~rng ~topology ~protocol
+       ?on_round_end ?skew ?monitor ?packed ~rng ~topology ~protocol
        ~tables:[| { Kernel.sources; created = 0 } |]
        ())
 
@@ -77,14 +79,14 @@ type 'st epoch_plan = 'st Kernel.epoch_plan = {
   epoch_gate : informed:bool -> node:int -> round:int -> bool;
 }
 
-let run_epochs ?fault ?collect_trace ?forget_on_recover ?reset ?on_round_end
+let run_epochs ?fault ?collect_trace ?forget_on_recover ?on_round_end
     ?(max_epochs = 8) ?monitor ?packed ~rng ~topology ~protocol ~repair
     ~sources () =
   if max_epochs < 0 then invalid_arg "Engine.run_epochs: max_epochs < 0";
   validate ~where:"Engine.run" ~topology sources;
   let k, stats =
-    Kernel.run_epochs ?fault ?collect_trace ?forget_on_recover ?reset
-      ?on_round_end ~max_epochs ?monitor ?packed ~rng ~topology ~protocol
+    Kernel.run_epochs ?fault ?collect_trace ?forget_on_recover ?on_round_end
+      ~max_epochs ?monitor ?packed ~rng ~topology ~protocol
       ~repair ~table:{ Kernel.sources; created = 0 } ()
   in
   of_kernel ~repair:stats k

@@ -34,6 +34,12 @@ type epoch_stat = Kernel.epoch_stat = {
 (** Accounting for one self-healing repair epoch (see {!run_epochs}).
     Shared with {!Kernel.epoch_stat}. *)
 
+type change = Kernel.change =
+  | Joined of int  (** the id came alive: it restarts uninformed *)
+  | Left of int  (** the id died: it keeps its flags, uncounted *)
+(** One membership change reported by [on_round_end] (see {!run}).
+    Shared with {!Kernel.change}. *)
+
 type result = {
   rounds : int;  (** rounds actually executed (including repair epochs) *)
   completion_round : int option;
@@ -77,8 +83,7 @@ val run :
   ?collect_trace:bool ->
   ?stop_when_complete:bool ->
   ?forget_on_recover:bool ->
-  ?reset:(unit -> int list) ->
-  ?on_round_end:(int -> unit) ->
+  ?on_round_end:(int -> change list) ->
   ?skew:(int -> int) ->
   ?monitor:Invariant.t ->
   ?packed:bool ->
@@ -93,9 +98,16 @@ val run :
     rule: at the protocol's [horizon], earlier once every informed node
     is quiescent, or — when [stop_when_complete] is set (default
     false) — at the end of the first round in which every live node is
-    informed (the oracle-stopped accounting). [on_round_end] fires
-    after each round and may mutate the topology (churn) but must not
-    change [capacity]; newly appearing node ids start uninformed.
+    informed (the oracle-stopped accounting). [on_round_end r] fires
+    at the end of each round [r] and may mutate the topology (churn)
+    but must not change [capacity]. It returns the round's membership
+    changes in the order they happened: every node it added as
+    [Joined v], every node it removed as [Left v]; a hook that changes
+    no node (a heartbeat, an edge rewiring) returns [[]]. A [Joined]
+    id restarts uninformed even when it recycles a departed peer's id
+    with that peer's stale flag; a [Left] id is no longer counted. An
+    unreported change leaves the census wrong (the invariant monitor
+    records it). Edges may change freely.
 
     [fault] is a full {!Fault.t} plan, ticked at the start of every
     round: burst (Gilbert–Elliott) chains advance, nodes crash and
@@ -118,15 +130,11 @@ val run :
     the uninformed census and restarts from [protocol.init
     ~informed:false] — instead of resuming with stale [knows] state.
 
-    [reset] is drained right after [on_round_end]; the returned node
-    ids (fresh churn joins, possibly reusing the id of a departed peer)
-    are restarted uninformed. Out-of-range ids are ignored.
-
-    Performance note: without [on_round_end] the kernel maintains its
-    live/informed census incrementally (see the census invariant on
-    {!Kernel}); installing [on_round_end] switches to a full per-round
-    census so churn that mutates liveness stays correct. Both paths
-    draw identical randomness and produce bit-identical results.
+    Performance note: the kernel keeps its live/informed census from
+    the events that move it, the hook's changes included (see the
+    census invariant on {!Kernel}), so installing [on_round_end] adds
+    only its own calls: no per-round recount, and no liveness checks
+    in a round in which every id is alive and up.
 
     [packed] (default [true]) stores per-node protocol state in a flat
     {!Cells.t} when the protocol declares {!Protocol.packed} ops — a
@@ -135,7 +143,8 @@ val run :
     loop and apply staged updates in ascending id order, so results are
     bit-identical (see the delivery-loop section on {!Kernel}).
     @raise Invalid_argument if [sources] is empty or contains a dead or
-    out-of-range id. *)
+    out-of-range id, or if a change names an id outside
+    [\[0, capacity)]. *)
 
 type 'st epoch_plan = 'st Kernel.epoch_plan = {
   epoch_protocol : 'st Protocol.t;
@@ -152,8 +161,7 @@ val run_epochs :
   ?fault:Fault.t ->
   ?collect_trace:bool ->
   ?forget_on_recover:bool ->
-  ?reset:(unit -> int list) ->
-  ?on_round_end:(int -> unit) ->
+  ?on_round_end:(int -> change list) ->
   ?max_epochs:int ->
   ?monitor:Invariant.t ->
   ?packed:bool ->
@@ -166,8 +174,8 @@ val run_epochs :
   result
 (** [run_epochs ~rng ~topology ~protocol ~repair ~sources ()] runs the
     main broadcast schedule once ({!run}, forwarding [fault],
-    [collect_trace], [forget_on_recover] and [on_round_end]; [reset],
-    like [on_round_end], applies to the main run only), then — while
+    [collect_trace], [forget_on_recover] and [on_round_end], which
+    applies to the main run only), then — while
     some live node is uninformed and at most [max_epochs] (default 8)
     times — asks [repair ~epoch ~knows] for a fresh {!epoch_plan} and
     re-runs the kernel with every current knower as a source and the

@@ -1,12 +1,13 @@
 (** Runtime kernel-invariant monitor.
 
-    [kernel.mli] states several informal contracts — the incremental
-    census equals a full recount, the informed set only grows absent
-    node faults, every delivery is accounted to a channel. This module
-    makes them executable: pass [?monitor:(Invariant.create ())] to a
-    kernel driver and the kernel re-derives each quantity independently
-    at every round boundary, recording a {!violation} whenever the
-    cheap incremental answer disagrees with the recomputed one.
+    [kernel.mli] states several informal contracts — the census the
+    kernel keeps from events equals a full recount, the informed set
+    only grows absent node faults, every delivery is accounted to a
+    channel. This module makes them executable: pass
+    [?monitor:(Invariant.create ())] to a kernel driver and the kernel
+    re-derives each quantity independently at every round boundary,
+    recording a {!violation} whenever the cheap incremental answer
+    disagrees with the recomputed one.
 
     The monitor is pure observation: it draws no randomness, never
     changes control flow, and when absent costs nothing — the kernel
@@ -17,9 +18,10 @@
     Checks performed by the kernel when a monitor is installed, keyed
     by the [check] field of the violation:
 
-    - ["census"] — the incremental live count and each table's informed
-      count (and, under the incremental census, its down-informed
-      count) equal a full O(capacity) recount of the bitsets;
+    - ["census"] — the kernel's live count and each table's informed
+      and down-informed (informed but crashed) counts equal a full
+      O(capacity) recount of the bitsets; a round hook that adds or
+      removes a node without reporting the change trips it;
     - ["monotone"] — a table's informed count never decreases when the
       plan has no node faults, no churn hook and no state reset (only
       crashes, churn departures and amnesia may shrink the rumor);

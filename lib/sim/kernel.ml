@@ -21,6 +21,7 @@ type result = {
 }
 
 type gate = informed:bool -> node:int -> round:int -> bool
+type change = Joined of int | Left of int
 
 (* Per-node protocol state behind an index-addressed store, so the
    round loop is identical whether the state lives in an ['st array] of
@@ -115,7 +116,7 @@ let bit buf v =
   Char.code (Bytes.unsafe_get buf (v lsr 3)) land (1 lsl (v land 7)) <> 0
 
 let run ?(fault = Fault.none) ?(collect_trace = false)
-    ?(stop_when_complete = false) ?gate ?(forget_on_recover = false) ?reset
+    ?(stop_when_complete = false) ?gate ?(forget_on_recover = false)
     ?on_round_end ?skew ?monitor ?(packed = true) ~rng ~topology ~protocol
     ~tables () =
   let open Topology in
@@ -141,10 +142,10 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
   let pull_ok w = Fault.pull_ok rt rng ~sender:w in
   let selector = Selector.make protocol.selector ~capacity:cap in
   let scratch = Array.make (max (Selector.fanout protocol.selector) 1) 0 in
-  (* Census strategy: see the invariant in kernel.mli. *)
-  let census_incremental = on_round_end = None in
-  let live = ref 0 in
-  if census_incremental then live := Topology.alive_count topology;
+  (* The census (invariant in kernel.mli): live nodes, and per table its
+     informed live nodes and informed crashed ones, moved only by the
+     events that change them. *)
+  let live = ref (Topology.alive_count topology) in
   let horizon =
     let h = ref 0 in
     Array.iter
@@ -185,8 +186,7 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
         if not (Bitset.get tb.informed s) then begin
           Bitset.set tb.informed s;
           tb.store.s_init s ~informed:true;
-          if census_incremental && topology.alive s && active s then
-            tb.know <- tb.know + 1
+          if topology.alive s && active s then tb.know <- tb.know + 1
         end)
       tb.srcs;
     tb.injected <- true
@@ -228,48 +228,60 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
     done;
     !j = nt
   in
-  let on_crash =
-    if census_incremental then
-      Some
-        (fun v ->
-          decr live;
-          for j = 0 to nt - 1 do
-            let tb = tbs.(j) in
-            if Bitset.get tb.informed v then begin
-              tb.know <- tb.know - 1;
-              tb.down_informed <- tb.down_informed + 1
-            end
-          done)
-    else None
+  (* Nodes crash only while alive and active. *)
+  let on_crash v =
+    decr live;
+    for j = 0 to nt - 1 do
+      let tb = tbs.(j) in
+      if Bitset.get tb.informed v then begin
+        tb.know <- tb.know - 1;
+        tb.down_informed <- tb.down_informed + 1
+      end
+    done
   in
-  let on_recover =
-    (* Recovery amnesia: the node lost its volatile state while it was
-       down — every rumor at once — and re-enters the uninformed
-       census. Nodes only crash while alive and active, so a recovering
-       node is alive here. *)
-    if forget_on_recover then
-      Some
-        (fun v ->
-          if census_incremental then incr live;
-          for j = 0 to nt - 1 do
-            let tb = tbs.(j) in
-            if census_incremental && Bitset.get tb.informed v then
-              tb.down_informed <- tb.down_informed - 1;
-            Bitset.clear tb.informed v;
-            tb.store.s_init v ~informed:false
-          done)
-    else if census_incremental then
-      Some
-        (fun v ->
-          incr live;
-          for j = 0 to nt - 1 do
-            let tb = tbs.(j) in
-            if Bitset.get tb.informed v then begin
-              tb.know <- tb.know + 1;
-              tb.down_informed <- tb.down_informed - 1
-            end
-          done)
-    else None
+  (* A crashed node that churn removed recovers dead and stays
+     uncounted. Recovery amnesia: the node lost its volatile state while
+     it was down — every rumor at once — and re-enters the uninformed
+     census. *)
+  let on_recover v =
+    let counted = topology.alive v in
+    if counted then incr live;
+    for j = 0 to nt - 1 do
+      let tb = tbs.(j) in
+      if counted && Bitset.get tb.informed v then begin
+        tb.down_informed <- tb.down_informed - 1;
+        if not forget_on_recover then tb.know <- tb.know + 1
+      end;
+      if forget_on_recover then begin
+        Bitset.clear tb.informed v;
+        tb.store.s_init v ~informed:false
+      end
+    done
+  in
+  (* A membership change reported by [on_round_end]. A joining id was
+     dead, so uncounted: it restarts uninformed in every table whatever
+     flag it kept, and is live unless the fault runtime holds it down. A
+     leaving id keeps its flags and only leaves the census. *)
+  let apply_change c =
+    let v = match c with Joined v | Left v -> v in
+    if v < 0 || v >= cap then invalid_arg "Kernel.run: change id out of range";
+    let running = active v in
+    match c with
+    | Joined _ ->
+        if running then incr live;
+        for j = 0 to nt - 1 do
+          let tb = tbs.(j) in
+          Bitset.clear tb.informed v;
+          tb.store.s_init v ~informed:false
+        done
+    | Left _ ->
+        if running then decr live;
+        for j = 0 to nt - 1 do
+          let tb = tbs.(j) in
+          if Bitset.get tb.informed v then
+            if running then tb.know <- tb.know - 1
+            else tb.down_informed <- tb.down_informed - 1
+        done
   in
   (* The round's decisions, taken before the initiator loop: one
      ascending pass over each table's informed set, so the loop reads a
@@ -298,28 +310,24 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
   in
   (* The delivery loop (contract in kernel.mli). [decide] is pure, so
      every decision of the round may be taken before the initiator
-     loop, for nodes no channel reaches too. What can fail is fixed per
-     run: [can_be_down] when a node may be dead or crashed in some
-     round, [chan_can_fail] when an opened slot may not become a
-     channel. Neither holds in the paper's fault-free runs, which then
-     check nothing per node or per channel. *)
-  let can_be_down =
-    Fault.has_node_faults fault || (not census_incremental) || !live <> cap
-  in
+     loop, for nodes no channel reaches too. What can fail is decided
+     each round after the fault tick: a node can be down when the census
+     counts fewer live nodes than ids, and an opened slot may not become
+     a channel when a node can be down, under a partition plan or with
+     call failures. Neither holds in the paper's fault-free runs, which
+     then check nothing per node or per channel. *)
   let partitioned = fault.Fault.partition <> None in
-  let chan_can_fail =
-    can_be_down || partitioned || fault.Fault.call_failure > 0.
-  in
   (* Liveness ([topology.alive && active]) of every id, rebuilt after
-     each fault tick, so the loop reads one bit per initiator and callee
-     instead of calling both closures. A local buffer rather than a
-     [Bitset]: its reads and whole-byte writes inline, where [Bitset]'s
-     bounds-checked calls cost ~10% of the wall time of the CI fault
-     cell ([scenarios/matrix_ci_faults.txt]). *)
-  let up =
-    Bytes.make (if can_be_down then (cap + 7) lsr 3 else 0) '\000'
-  in
+     each fault tick that leaves a node down, so the loop reads one bit
+     per initiator and callee instead of calling both closures. A local
+     buffer rather than a [Bitset]: its reads and whole-byte writes
+     inline, where [Bitset]'s bounds-checked calls cost ~10% of the wall
+     time of the CI fault cell ([scenarios/matrix_ci_faults.txt]).
+     Allocated the first time a node is down. *)
+  let up_buf = ref Bytes.empty in
   let rebuild_up () =
+    if Bytes.length !up_buf = 0 then up_buf := Bytes.create ((cap + 7) lsr 3);
+    let up = !up_buf in
     for b = 0 to Bytes.length up - 1 do
       let byte = ref 0 in
       for i = 0 to 7 do
@@ -410,34 +418,6 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
       !quiet
     end
   in
-  let full_census r =
-    (* Census after churn: [alive] may have changed arbitrarily, so
-       recount; completion means every live node knows. *)
-    live := 0;
-    for j = 0 to nt - 1 do
-      tbs.(j).know <- 0
-    done;
-    let quiet = ref true in
-    for j = 0 to nt - 1 do
-      if tbs.(j).created >= r then quiet := false
-    done;
-    for v = 0 to cap - 1 do
-      if topology.alive v then begin
-        if active v then begin
-          incr live;
-          for j = 0 to nt - 1 do
-            let tb = tbs.(j) in
-            if Bitset.get tb.informed v then begin
-              tb.know <- tb.know + 1;
-              if not (quiet_at tb r v) then quiet := false
-            end
-          done
-        end
-        else if informed_any v && may_recover then quiet := false
-      end
-    done;
-    !quiet
-  in
   let trace = if collect_trace then Some (Trace.create ()) else None in
   let total_channels = ref 0 in
   (* Invariant-monitor state: last round's per-table informed counts
@@ -450,7 +430,6 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
   in
   let may_shrink =
     Fault.has_node_faults fault || forget_on_recover
-    || Option.is_some reset
     || Option.is_some on_round_end
   in
   let round = ref 0 in
@@ -458,7 +437,7 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
   while (not !stop) && !round < horizon do
     incr round;
     let r = !round in
-    Fault.begin_round ?on_recover ?on_crash rt ~rng ~round:r
+    Fault.begin_round ~on_recover ~on_crash rt ~rng ~round:r
       ~degree:topology.degree ~alive:topology.alive ~informed:informed_any;
     (* Inject rumors created at the end of the previous round. *)
     for j = 0 to nt - 1 do
@@ -468,7 +447,12 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
     push_now := 0;
     pull_now := 0;
     let channels_now = ref 0 in
+    let can_be_down = !live <> cap in
     if can_be_down then rebuild_up ();
+    let up = !up_buf in
+    let chan_can_fail =
+      can_be_down || partitioned || fault.Fault.call_failure > 0.
+    in
     let idle = not (decide_round r) in
     for u = 0 to cap - 1 do
       if ((not can_be_down) || bit up u) && gate_open u r then begin
@@ -533,9 +517,8 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
       tb.pending_len <- 0;
       (* Every marked node was alive and active when marked (both are
          checked before a channel carries anything, and crashes land
-         only at round start), so the incremental count moves by
-         [newly]. *)
-      if census_incremental then tb.know <- tb.know + newly;
+         only at round start), so the count moves by [newly]. *)
+      tb.know <- tb.know + newly;
       newly_total := !newly_total + newly
     done;
     for j = 0 to nt - 1 do
@@ -552,31 +535,10 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
       tb.dup_len <- 0
     done;
     total_channels := !total_channels + !channels_now;
-    (match on_round_end with Some f -> f r | None -> ());
-    (match reset with
-    | Some f ->
-        (* Ids handed back by the churn harness (fresh joins, id reuse)
-           restart uninformed regardless of any stale flag. *)
-        List.iter
-          (fun v ->
-            if v >= 0 && v < cap then
-              for j = 0 to nt - 1 do
-                let tb = tbs.(j) in
-                if
-                  census_incremental
-                  && Bitset.get tb.informed v
-                  && topology.alive v
-                then
-                  if active v then tb.know <- tb.know - 1
-                  else tb.down_informed <- tb.down_informed - 1;
-                Bitset.clear tb.informed v;
-                tb.store.s_init v ~informed:false
-              done)
-          (f ())
+    (match on_round_end with
+    | Some f -> List.iter apply_change (f r)
     | None -> ());
-    let all_quiet =
-      if census_incremental then all_quiet_fast r else full_census r
-    in
+    let all_quiet = all_quiet_fast r in
     (match trace with
     | Some t ->
         let know_total = ref 0 in
@@ -599,10 +561,9 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
         tb.completion <- Some r
     done;
     (* Runtime invariant monitor: re-derive every census quantity from
-       the bitsets and compare with the kernel's own counters. Runs in
-       both census modes (after [full_census] has refreshed them), so a
-       kernel that wrongly keeps the incremental census under churn is
-       caught here. Observation only: no randomness, no control flow. *)
+       the bitsets and compare with the kernel's own counters, so a
+       membership change the round hook did not report is caught here.
+       Observation only: no randomness, no control flow. *)
     (match monitor with
     | None -> ()
     | Some m ->
@@ -625,7 +586,7 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
               ~detail:
                 (Printf.sprintf "table %d informed: recount %d, kernel %d" j
                    !know' tb.know);
-          if census_incremental && !down_inf' <> tb.down_informed then
+          if !down_inf' <> tb.down_informed then
             Invariant.record m ~check:"census" ~round:r
               ~detail:
                 (Printf.sprintf "table %d down-informed: recount %d, kernel %d"
@@ -669,33 +630,13 @@ let run ?(fault = Fault.none) ?(collect_trace = false)
       if !all then stop := true
     end
   done;
-  (* Final counts. The incremental census already holds them — the
-     invariant the differential tests pin — so only the crashed-id list
-     (node-fault runs) or the post-churn recount needs a scan. *)
+  (* Final counts: the census already holds them, so only the
+     crashed-id list (node-fault runs) needs a scan. *)
   let down = ref [] in
-  if census_incremental then begin
-    if Fault.down_count rt > 0 then
-      for v = cap - 1 downto 0 do
-        if topology.alive v && not (active v) then down := v :: !down
-      done
-  end
-  else begin
-    live := 0;
-    for j = 0 to nt - 1 do
-      tbs.(j).know <- 0
-    done;
+  if Fault.down_count rt > 0 then
     for v = cap - 1 downto 0 do
-      if topology.alive v then
-        if active v then begin
-          incr live;
-          for j = 0 to nt - 1 do
-            let tb = tbs.(j) in
-            if Bitset.get tb.informed v then tb.know <- tb.know + 1
-          done
-        end
-        else down := v :: !down
-    done
-  end;
+      if topology.alive v && not (active v) then down := v :: !down
+    done;
   {
     rounds = !round;
     population = !live;
@@ -731,11 +672,11 @@ type 'st epoch_plan = {
 }
 
 let run_epochs ?(fault = Fault.none) ?(collect_trace = false)
-    ?(forget_on_recover = false) ?reset ?on_round_end ?(max_epochs = 8)
+    ?(forget_on_recover = false) ?on_round_end ?(max_epochs = 8)
     ?monitor ?packed ~rng ~topology ~protocol ~repair ~table () =
   if max_epochs < 0 then invalid_arg "Kernel.run_epochs: max_epochs < 0";
   let main =
-    run ~fault ~collect_trace ~forget_on_recover ?reset ?on_round_end ?monitor
+    run ~fault ~collect_trace ~forget_on_recover ?on_round_end ?monitor
       ?packed ~rng ~topology ~protocol ~tables:[| table |] ()
   in
   let cap = topology.Topology.capacity in

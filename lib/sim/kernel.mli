@@ -23,8 +23,8 @@
     - the {e tables} — one {!table} per rumor, each with its own
       creation time, per-node protocol state, round decisions and
       transmission accounting, all sharing the round's channel set;
-    - the {e hooks} — gate, churn ([on_round_end] / [reset]), recovery
-      amnesia, skew, tracing.
+    - the {e hooks} — gate, the round hook [on_round_end] (which
+      reports churn as {!change}s), recovery amnesia, skew, tracing.
 
     The asynchronous driver ({!run_async}) replaces lockstep rounds
     with Poisson activations; it shares the selection, fault-sampling,
@@ -86,12 +86,12 @@
     [topology.degree]), [topology.degree] and the selector, and reads
     each table's push bit. What the loop checks is fixed per run by
     what can fail:
-    - {e A node can be down} under node faults (crash rate or strike),
-      with [on_round_end] installed (churn may kill any id) or when
-      some id is dead at the start. The loop then rebuilds an [up]
-      bitset after each fault tick, one [topology.alive] and one
-      {!Fault.active} call per node, and checks initiators and callees
-      by reading one bit. Otherwise it checks nothing per node.
+    - {e A node can be down} in a round whose census, taken after the
+      fault tick, counts fewer live nodes than ids: some id is dead
+      (never joined, or left) or crashed. The loop then rebuilds an
+      [up] bitset, one [topology.alive] and one {!Fault.active} call
+      per node, and checks initiators and callees by reading one bit.
+      Otherwise it checks nothing per node.
     - {e A channel can fail} when a node can be down, under a
       partition plan or with [call_failure > 0]. Each
       selected callee is then resolved and the channel counted when the
@@ -107,10 +107,10 @@
     Each skipped check would return [true] without drawing, so the draw
     order above, the channel count and every result are those of a loop
     that checks every initiator and channel. Cost per node-round:
-    nothing extra fault-free; under node faults or churn the rebuild's
-    two calls per node and a bit read per initiator and callee; under a
-    partition a side check per channel; under call failure a Bernoulli
-    draw per channel.
+    nothing extra fault-free; in a round with a node down the
+    rebuild's two calls per node and a bit read per initiator and
+    callee; under a partition a side check per channel; under call
+    failure a Bernoulli draw per channel.
 
     At the end of each round every table applies its staged first
     receipts, then (when it listens) its duplicate feedback, in
@@ -122,17 +122,22 @@
 
     {2 Census invariant}
 
-    Without [on_round_end] the kernel assumes [topology.alive] is
-    stable and maintains the live count and each table's informed count
-    incrementally from the only events that move them — source
-    injection, receipt, crash, recovery, reset. With [on_round_end]
-    installed (churn may mutate liveness arbitrarily) it falls back to
-    a full per-round census. Both paths draw no randomness and yield
-    identical results; the incremental path also serves the final
-    counts without an O(capacity) rescan. Passing [?monitor] makes this
-    contract (and the accounting ones) executable: the kernel recounts
-    everything from the bitsets at each round boundary and records any
-    disagreement — see {!Invariant}.
+    The kernel keeps one census: the live count (alive and not
+    crashed), and per table its informed live nodes and its informed
+    crashed ones. It never rescans for them; it moves them on the only
+    events that change them — source injection, receipt, crash,
+    recovery, recovery amnesia and the {!change}s [on_round_end]
+    returns. [topology.alive] may therefore change only through those
+    changes: a hook that adds or removes a node must report it, in the
+    order it happened. A [Joined] id restarts uninformed in every table
+    ([init ~informed:false], table by table) and counts as live unless
+    the fault runtime holds it down; a [Left] id keeps its flags and
+    leaves the census. The census draws no randomness and serves the
+    stopping rule, completion and the final counts without an
+    O(capacity) rescan. Passing [?monitor] makes this contract (and the
+    accounting ones) executable: the kernel recounts everything from
+    the bitsets at each round boundary and records any disagreement,
+    an unreported membership change included — see {!Invariant}.
 
     {2 Stopping rule}
 
@@ -189,14 +194,19 @@ type gate = informed:bool -> node:int -> round:int -> bool
     answers). With several tables, [informed] means informed in {e all}
     of them. *)
 
+type change =
+  | Joined of int  (** the id came alive: it restarts uninformed *)
+  | Left of int  (** the id died: it keeps its flags, uncounted *)
+(** One membership change, as the round hook reports it (see the census
+    invariant above). *)
+
 val run :
   ?fault:Fault.t ->
   ?collect_trace:bool ->
   ?stop_when_complete:bool ->
   ?gate:gate ->
   ?forget_on_recover:bool ->
-  ?reset:(unit -> int list) ->
-  ?on_round_end:(int -> unit) ->
+  ?on_round_end:(int -> change list) ->
   ?skew:(int -> int) ->
   ?monitor:Invariant.t ->
   ?packed:bool ->
@@ -214,13 +224,12 @@ val run :
 
     [fault] (default {!Fault.none}, which draws nothing) is driven
     through a fresh {!Fault.runtime} ticked at the start of every
-    round. [skew], [forget_on_recover], [reset] and [on_round_end]
-    behave as documented on {!Engine.run}; they apply uniformly to
-    every table. [gate] (see {!gate}; repair epochs install one)
-    defaults to every node opening its channels every round, with no
-    call made.
-    [reset] ids and recovery amnesia clear {e every} table's flag for
-    the node (a wiped node lost all rumors). [monitor] installs the
+    round. [skew], [forget_on_recover] and [on_round_end] behave as
+    documented on {!Engine.run}; they apply uniformly to every table.
+    [gate] (see {!gate}; repair epochs install one) defaults to every
+    node opening its channels every round, with no call made.
+    A [Joined] change and recovery amnesia clear {e every} table's flag
+    for the node (a wiped node lost all rumors). [monitor] installs the
     runtime invariant monitor ({!Invariant}): every check is recomputed
     from scratch at each round boundary and compared against the
     kernel's incremental answers; it draws nothing and never changes
@@ -228,9 +237,11 @@ val run :
 
     Sources must be alive and in range — drivers validate and report
     their own error messages; the kernel itself checks only that
-    [tables] is non-empty. Empty source lists are allowed (the table
-    just starts with nobody informed).
-    @raise Invalid_argument if [tables] is empty. *)
+    [tables] is non-empty and that changes name ids in range. Empty
+    source lists are allowed (the table just starts with nobody
+    informed).
+    @raise Invalid_argument if [tables] is empty or a change names an
+    id outside [\[0, capacity)]. *)
 
 (** {1 Repair epochs}
 
@@ -262,8 +273,7 @@ val run_epochs :
   ?fault:Fault.t ->
   ?collect_trace:bool ->
   ?forget_on_recover:bool ->
-  ?reset:(unit -> int list) ->
-  ?on_round_end:(int -> unit) ->
+  ?on_round_end:(int -> change list) ->
   ?max_epochs:int ->
   ?monitor:Invariant.t ->
   ?packed:bool ->

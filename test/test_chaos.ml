@@ -93,8 +93,7 @@ let test_invariant_basics () =
     (Invalid_argument "Invariant.create: limit must be >= 1") (fun () ->
       ignore (Invariant.create ~limit:0 ()))
 
-(* A clean run under the monitor reports zero violations — across the
-   incremental-census path, the churn (full recount) path and repair. *)
+(* A clean run under the monitor reports zero violations. *)
 let test_monitor_clean_run () =
   let rng = Rng.create 7 in
   let g = Regular.sample_connected ~rng ~n:256 ~d:4 Regular.Pairing in
@@ -445,8 +444,69 @@ let test_shrink_greedy () =
   let same = Chaos.shrink ~fails:(fun _ -> false) s in
   Alcotest.(check bool) "no shrink without failure" true (same = s)
 
+(* The census under churn: small churn scenarios through
+   [Scenario.run_rep] with the monitor on, so the live, informed and
+   informed-crashed counts the kernel keeps from the hook's joins and
+   leaves, crashes and recoveries must equal a recount at every round
+   boundary, repair epochs included. *)
+let prop_churn_census_exact =
+  QCheck.Test.make ~count:60 ~name:"churn scenarios keep the census exact"
+    QCheck.(quad small_int (int_range 0 3) bool bool)
+    (fun (seed, churn, crashes, repair) ->
+      let join_prob, leave_prob, churn_rate =
+        match churn with
+        | 0 -> (0.3, 0.3, -1.)
+        | 1 -> (0.6, 0.2, -1.)
+        | 2 -> (0.1, 0.7, -1.)
+        | _ -> (0., 0., 0.05)
+      in
+      let s =
+        {
+          Scenario.default with
+          seed;
+          n = 64 + (32 * (seed mod 5));
+          d = (if seed mod 2 = 0 then 4 else 6);
+          alpha = 2.0;
+          join_prob;
+          leave_prob;
+          churn_rate;
+          crash_rate = (if crashes then 0.02 else 0.);
+          recover_rate = (if crashes then 0.25 else 0.);
+          max_epochs = (if repair then 4 else 0);
+          reps = 1;
+        }
+      in
+      let m = Invariant.create () in
+      ignore (Scenario.run_rep ~monitor:m s (Rng.create (1000 + seed)));
+      match Invariant.violations m with
+      | [] -> Invariant.rounds_checked m > 0
+      | v :: _ ->
+          QCheck.Test.fail_reportf "%d violations, first: %a" (Invariant.count m)
+            Invariant.pp_violation v)
+
+(* The other side of the census contract: a hook that removes a node
+   without reporting it leaves the census wrong, and the monitor says
+   so. *)
+let test_unreported_leave_caught () =
+  let o, rng = overlay_of ~seed:5 ~n:64 ~d:4 in
+  let m = Invariant.create () in
+  ignore
+    (Engine.run ~monitor:m ~rng
+       ~on_round_end:(fun r ->
+         if r = 2 then Overlay.deactivate o 7;
+         [])
+       ~topology:(Overlay.to_topology o)
+       ~protocol:(Algorithm.make (Params.make ~n_estimate:64 ~d:4 ()))
+       ~sources:[ 0 ] ());
+  Alcotest.(check bool) "census violation recorded" true
+    (List.exists
+       (fun v -> v.Invariant.check = "census")
+       (Invariant.violations m))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest [ prop_cut_heal_degree_sequence ]
+
+let qcheck_census = List.map QCheck_alcotest.to_alcotest [ prop_churn_census_exact ]
 
 let qcheck_roundtrip =
   List.map QCheck_alcotest.to_alcotest [ prop_to_text_roundtrip ]
@@ -471,7 +531,10 @@ let () =
             test_monitor_clean_run;
           Alcotest.test_case "monitor is transparent" `Quick
             test_monitor_transparent;
-        ] );
+          Alcotest.test_case "unreported leave caught" `Quick
+            test_unreported_leave_caught;
+        ]
+        @ qcheck_census );
       ( "partition-overlay",
         [
           Alcotest.test_case "stacking raises" `Quick

@@ -12,9 +12,10 @@
      order). Random (n, d, protocol, fault-plan, skew) configurations
      must produce identical result records through [Engine.run] and the
      reference.
-   - The incremental census (no churn hooks) and the full per-round
-     recount (hooks installed) must agree on every field — the census
-     invariant documented on [Kernel].
+   - A run with a round hook that reports no membership change must
+     agree on every field with the same run without a hook: the census
+     invariant documented on [Kernel] leaves the hook nothing to
+     switch.
    - A single-message [Multi.run] is the same simulation as
      [Engine.run] under every fault plan, bursts, crashes and strikes
      included: both drive the whole plan through one runtime.
@@ -353,11 +354,12 @@ let tables_of c ~k ~n =
     (List.init k (fun j ->
          { Kernel.sources = [ Rng.int c n ]; created = j * Rng.int c 4 }))
 
-(* Engine vs reference vs full-census Engine: one random configuration,
-   three simulations from the same seed, all fields equal. *)
+(* Engine vs reference vs Engine with a round hook that reports no
+   change: one random configuration, three simulations from the same
+   seed, all fields equal. *)
 let engine_differential =
   QCheck.Test.make ~count:80
-    ~name:"Engine.run = naive reference = full-census Engine.run"
+    ~name:"Engine.run = naive reference = Engine.run with a no-op hook"
     QCheck.small_int
     (fun seed ->
       let cfg = config_of_seed seed in
@@ -372,16 +374,16 @@ let engine_differential =
               ~rng:(Rng.create (0xF00D + seed))
               ~topology ~protocol ~sources ()
           in
-          let incremental = run () in
-          let full = run ~on_round_end:(fun _ -> ()) () in
+          let plain = run () in
+          let hooked = run ~on_round_end:(fun _ -> []) () in
           let reference =
             Ref_engine.run ?skew ~fault:cfg.fault
               ~stop_when_complete:cfg.stop
               ~rng:(Rng.create (0xF00D + seed))
               ~topology ~protocol ~sources ()
           in
-          same_engine_ref incremental reference
-          && same_engine_engine incremental full))
+          same_engine_ref plain reference
+          && same_engine_engine plain hooked))
 
 (* Packed per-node state vs boxed arrays: for rng-pure protocols the
    compact-cell kernel path must be bit-identical to the boxed one —
@@ -504,12 +506,12 @@ let multi_singleton_differential =
           && mr.Multi.informed = e.Engine.informed
           && mr.Multi.transmissions = Engine.transmissions e))
 
-(* The census invariant with several tables: installing a no-op churn
-   hook switches to the full per-round recount and must change nothing,
-   table by table, over staggered creation times. *)
+(* The census with several tables: a round hook that reports no change
+   must change nothing, table by table, over staggered creation
+   times. *)
 let multi_census_differential =
   QCheck.Test.make ~count:60
-    ~name:"Kernel.run tables: incremental census = full census"
+    ~name:"Kernel.run tables: no hook = a no-op round hook"
     QCheck.small_int
     (fun seed ->
       let cfg = config_of_seed seed in
@@ -524,7 +526,7 @@ let multi_census_differential =
               ~rng:(Rng.create (0xF00D + seed))
               ~topology ~protocol ~tables ()
           in
-          same_kernel (run ()) (run ~on_round_end:(fun _ -> ()) ())))
+          same_kernel (run ()) (run ~on_round_end:(fun _ -> []) ())))
 
 (* ------------------------------------------------------------------ *)
 (* The fault-free regime.                                             *)
@@ -682,12 +684,10 @@ let node_fault_of_seed seed =
   { seed; n; d; pchoice; fault; skewed; stop; gated }
 
 (* The packed run against the reference and the boxed run, and against
-   itself with a no-op [on_round_end]: the full census makes every node
-   possibly down, so the liveness bitset is rebuilt even when the plan
-   crashes nothing. *)
+   itself with an [on_round_end] that reports no change. *)
 let node_fault_differential =
   QCheck.Test.make ~count:80
-    ~name:"node faults: Engine.run = reference = ~packed:false = full census"
+    ~name:"node faults: Engine.run = reference = ~packed:false = no-op hook"
     QCheck.small_int
     (fun seed ->
       let cfg = node_fault_of_seed seed in
@@ -714,7 +714,7 @@ let node_fault_differential =
                 let packed = run true in
                 same_kernel_ref packed reference
                 && same_kernel packed (run false)
-                && same_kernel packed (run ~on_round_end:(fun _ -> ()) true));
+                && same_kernel packed (run ~on_round_end:(fun _ -> []) true));
           }
       in
       on_topology (Topology.of_graph (graph_of cfg))
@@ -901,8 +901,8 @@ let test_listeners_hear_every_duplicate () =
 (* Each round makes exactly one [decide] call per informed node of each
    started table, gated nodes included, in either store. Without faults
    or skew the nodes informed at the start of round [r] are those of
-   row [r - 1] plus the sources of the tables created at [r - 1]; a
-   no-op [on_round_end] closes each round's count. *)
+   row [r - 1] plus the sources of the tables created at [r - 1]; an
+   [on_round_end] that reports no change closes each round's count. *)
 let test_decide_once_per_informed () =
   let n = 256 and d = 6 in
   let topology = Topology.implicit_regular ~seed:31 ~n ~d in
@@ -947,7 +947,8 @@ let test_decide_once_per_informed () =
         Kernel.run ?gate ~packed ~collect_trace:true
           ~on_round_end:(fun _ ->
             per_round := !calls :: !per_round;
-            calls := 0)
+            calls := 0;
+            [])
           ~rng:(Rng.create 3) ~topology ~protocol ~tables ()
       in
       let started r =
@@ -1006,15 +1007,17 @@ let test_idle_callee_if_can_fail () =
     Alcotest.failf "fault-free bef: %d neighbor calls for %d channels" calls
       r.Engine.channels;
   Alcotest.(check int) "boxed bef skips the same callees" calls boxed_calls;
+  let _, hooked_calls = run ~on_round_end:(fun _ -> []) bef in
+  Alcotest.(check int) "a hook that reports no change skips the same callees"
+    calls hooked_calls;
   let r, calls = run (Baselines.push_pull ~fanout:1 ~horizon:40 ()) in
   Alcotest.(check int) "push-pull resolves every channel" r.Engine.channels
     calls;
   (* When a channel can fail, every idle callee is resolved to check it,
-     exactly as the reference does. A no-op [on_round_end] changes no
-     result, so the reference runs without it. *)
+     exactly as the reference does. *)
   List.iter
-    (fun (what, fault, on_round_end) ->
-      let r, calls = run ~fault ?on_round_end bef in
+    (fun (what, fault) ->
+      let r, calls = run ~fault bef in
       let topology, ref_calls = counted view in
       let reference =
         Ref_engine.run ~fault ~rng:(Rng.create 9) ~topology ~protocol:bef
@@ -1026,12 +1029,10 @@ let test_idle_callee_if_can_fail () =
         Alcotest.failf "%s: %d neighbor calls, reference %d, %d channels" what
           calls !ref_calls r.Engine.channels)
     [
-      ("crash_rate 0.01", Fault.plan ~crash_rate:0.01 (), None);
-      ("call_failure 0.01", Fault.plan ~call_failure:0.01 (), None);
+      ("crash_rate 0.01", Fault.plan ~crash_rate:0.01 ());
+      ("call_failure 0.01", Fault.plan ~call_failure:0.01 ());
       ( "partition",
-        Fault.plan ~partition:(Fault.partition ~split_at:2 ~heal_at:6 ()) (),
-        None );
-      ("on_round_end", Fault.none, Some (fun _ -> ()));
+        Fault.plan ~partition:(Fault.partition ~split_at:2 ~heal_at:6 ()) () );
     ]
 
 (* [alive] is never called per channel. Without node faults the
@@ -1069,18 +1070,22 @@ let test_alive_tick_and_rebuild () =
   let _, gated = run ~gate Fault.none in
   if gated > 2 * n then
     Alcotest.failf "fault-free gated: %d alive calls" gated;
+  (* A round hook that reports no change leaves every id up: no
+     liveness rebuild. *)
+  let _, hooked = run ~on_round_end:(fun _ -> []) Fault.none in
+  if hooked > 2 * n then
+    Alcotest.failf "fault-free with a no-op hook: %d alive calls" hooked;
   (* The quiescence scan and the final down list add a pass or two
      over the nodes. *)
   List.iter
-    (fun (what, gate, fault, on_round_end) ->
-      let r, calls = run ?gate ?on_round_end fault in
+    (fun (what, gate, fault) ->
+      let r, calls = run ?gate fault in
       if calls > (2 * n * r.Kernel.rounds) + (3 * n) then
         Alcotest.failf "%s: %d alive calls over %d rounds of %d nodes" what
           calls r.Kernel.rounds n)
     [
-      ("crash_rate 0.01", None, Fault.plan ~crash_rate:0.01 (), None);
-      ("crash_rate 0.01 gated", Some gate, Fault.plan ~crash_rate:0.01 (), None);
-      ("on_round_end", None, Fault.none, Some (fun _ -> ()));
+      ("crash_rate 0.01", None, Fault.plan ~crash_rate:0.01 ());
+      ("crash_rate 0.01 gated", Some gate, Fault.plan ~crash_rate:0.01 ());
     ]
 
 (* ------------------------------------------------------------------ *)

@@ -11,6 +11,7 @@ module Experiment = Rumor_test_support.Experiment
 module Engine = Rumor_sim.Engine
 module Json = Rumor_test_support.Json
 module Benchdoc = Rumor_obs.Benchdoc
+module Chaos = Rumor_cli.Chaos
 
 let contains s sub =
   let n = String.length s and m = String.length sub in
@@ -697,6 +698,81 @@ let test_diff () =
   Alcotest.(check bool) "gate failures fail the diff" true
     (r.Benchdoc.failures <> [])
 
+(* Hostile text: byte-mutated and line-spliced copies of every committed
+   scenario file. The matrix grammar (with the grid expanded when it is
+   small enough to expand) and the chaos artifact reader must answer
+   [Ok] or [Error], never raise. *)
+let committed_texts =
+  lazy
+    (Sys.readdir "../scenarios" |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".txt")
+    |> List.sort compare
+    |> List.map (fun f ->
+           In_channel.with_open_bin (Filename.concat "../scenarios" f)
+             In_channel.input_all)
+    |> Array.of_list)
+
+let mutate_text texts rng text =
+  let rint = Random.State.int rng in
+  let n = String.length text in
+  let lines = String.split_on_char '\n' in
+  let other () = lines texts.(rint (Array.length texts)) in
+  let split l = List.filteri (fun i _ -> i < rint (List.length l + 1)) l in
+  match rint 4 with
+  | 0 when n > 0 ->
+      let b = Bytes.of_string text in
+      Bytes.set b (rint n) (Char.chr (rint 256));
+      Bytes.to_string b
+  | 1 ->
+      let at = rint (n + 1) in
+      String.sub text 0 at
+      ^ String.make 1 (Char.chr (rint 256))
+      ^ String.sub text at (n - at)
+  | 2 ->
+      (* A prefix of this text's lines, then the tail of another file. *)
+      let tail = List.rev (split (List.rev (other ()))) in
+      String.concat "\n" (split (lines text) @ tail)
+  | _ ->
+      (* Another file's line inserted at a random line. *)
+      let own = lines text and extra = other () in
+      let at = rint (List.length own + 1) in
+      let line = List.nth extra (rint (List.length extra)) in
+      String.concat "\n"
+        (List.filteri (fun i _ -> i < at) own
+        @ (line :: List.filteri (fun i _ -> i >= at) own))
+
+let hostile_text =
+  QCheck.make ~print:(Printf.sprintf "%S") (fun rng ->
+      let texts = Lazy.force committed_texts in
+      let rec go k text =
+        if k = 0 then text else go (k - 1) (mutate_text texts rng text)
+      in
+      go
+        (1 + Random.State.int rng 4)
+        texts.(Random.State.int rng (Array.length texts)))
+
+let answers what f text =
+  match f text with
+  | () -> true
+  | exception e ->
+      QCheck.Test.fail_reportf "%s raised %s" what (Printexc.to_string e)
+
+let prop_matrix_fuzz =
+  QCheck.Test.make ~count:1000
+    ~name:"Matrix.parse never raises on mutated committed files" hostile_text
+    (answers "Matrix.parse" (fun text ->
+         match Matrix.parse text with
+         | Ok spec when Matrix.cell_count spec <= 10_000 ->
+             ignore (Matrix.cells spec)
+         | Ok _ | Error _ -> ()))
+
+let prop_artifact_fuzz =
+  QCheck.Test.make ~count:1000
+    ~name:"Chaos.parse_artifact never raises on mutated committed files"
+    hostile_text
+    (answers "Chaos.parse_artifact" (fun text ->
+         ignore (Chaos.parse_artifact text)))
+
 let () =
   Alcotest.run "rumor_matrix"
     [
@@ -707,7 +783,9 @@ let () =
           Alcotest.test_case "zip + stride" `Quick test_parse_zip_and_stride;
           Alcotest.test_case "crlf" `Quick test_parse_crlf;
           Alcotest.test_case "errors pin lines" `Quick test_parse_errors;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_matrix_fuzz; prop_artifact_fuzz ] );
       ( "grid",
         [
           Alcotest.test_case "qcheck invariants" `Quick test_qcheck_grid;

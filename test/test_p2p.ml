@@ -376,7 +376,7 @@ let test_broadcast_survives_churn () =
   let res =
     Engine.run ~rng
       ~on_round_end:(fun _ ->
-        ignore (Churn.session o ~rng ~d:8 ~join_prob:0.8 ~leave_prob:0.8 ()))
+        Churn.session o ~rng ~d:8 ~join_prob:0.8 ~leave_prob:0.8 ())
       ~topology:(Overlay.to_topology o)
       ~protocol ~sources:[ 0 ] ()
   in
@@ -394,7 +394,7 @@ let test_broadcast_survives_churn () =
 
    The newcomer arrives after every pusher has stopped transmitting, so
    without repair it provably ends the run uninformed; under
-   [Repair.self_heal], fed by the same [reset] hook, it must end
+   [Repair.self_heal], fed by the same round hook, it must end
    informed. Both arms rebuild the same seeded overlay and rng. *)
 
 let bounded_pusher ~push_until ~horizon =
@@ -417,19 +417,14 @@ let late_join_arm ~with_repair =
   let n = 64 and d = 8 in
   let o = regular_overlay ~seed:51 ~n ~d ~capacity:(2 * n) in
   let rng = Rng.create 52 in
-  let joined = ref [] in
   let newcomer = ref (-1) in
   let on_round_end r =
     if r = 13 then begin
       let v = Churn.join o ~rng ~d in
       newcomer := v;
-      joined := [ v ]
+      [ Engine.Joined v ]
     end
-  in
-  let reset () =
-    let l = !joined in
-    joined := [];
-    l
+    else []
   in
   let protocol = bounded_pusher ~push_until:12 ~horizon:16 in
   let topology = Overlay.to_topology o in
@@ -437,8 +432,8 @@ let late_join_arm ~with_repair =
     if with_repair then
       Rumor_test_support.Repair.self_heal
         ~config:(Rumor_test_support.Repair.config ~n ())
-        ~reset ~on_round_end ~rng ~topology ~protocol ~sources:[ 0 ] ()
-    else Engine.run ~reset ~on_round_end ~rng ~topology ~protocol ~sources:[ 0 ] ()
+        ~on_round_end ~rng ~topology ~protocol ~sources:[ 0 ] ()
+    else Engine.run ~on_round_end ~rng ~topology ~protocol ~sources:[ 0 ] ()
   in
   (res, !newcomer)
 
@@ -453,6 +448,42 @@ let test_late_join_needs_repair () =
   Alcotest.(check bool) "newcomer informed under repair" true
     (Rumor_test_support.Bitset.get healed.Engine.knows j');
   Alcotest.(check bool) "healed run succeeds" true (Engine.success healed)
+
+(* --- regression: a recycled id starts uninformed ---
+
+   [Overlay.activate] hands a joining peer the lowest free id. With
+   capacity = n, the only free id after the source leaves is the
+   source's own, which is informed. Reported as [Left] then [Joined],
+   the newcomer must count as uninformed rather than inherit the
+   departed peer's flag. Nobody pushes after round 12, so nothing can
+   inform it afterwards. *)
+let test_recycled_id_starts_uninformed () =
+  let n = 64 and d = 8 in
+  let o = regular_overlay ~seed:51 ~n ~d ~capacity:n in
+  let rng = Rng.create 52 in
+  let newcomer = ref (-1) in
+  let on_round_end r =
+    if r = 13 then begin
+      Churn.leave o ~rng ~node:0;
+      let v = Churn.join o ~rng ~d in
+      newcomer := v;
+      [ Engine.Left 0; Engine.Joined v ]
+    end
+    else []
+  in
+  let monitor = Rumor_sim.Invariant.create () in
+  let res =
+    Engine.run ~monitor ~on_round_end ~rng ~topology:(Overlay.to_topology o)
+      ~protocol:(bounded_pusher ~push_until:12 ~horizon:16)
+      ~sources:[ 0 ] ()
+  in
+  Alcotest.(check int) "the newcomer recycles the source's id" 0 !newcomer;
+  Alcotest.(check bool) "recycled id uninformed" false
+    (Rumor_test_support.Bitset.get res.Engine.knows 0);
+  Alcotest.(check int) "population unchanged" n res.Engine.population;
+  Alcotest.(check bool) "the newcomer is counted uninformed" false
+    (Engine.success res);
+  Alcotest.(check int) "census exact" 0 (Rumor_sim.Invariant.count monitor)
 
 (* --- qcheck properties --- *)
 
@@ -490,8 +521,7 @@ let test_churn_session_at_capacity_never_raises () =
   let rng = Rng.create 62 in
   for _ = 1 to 200 do
     let ev = Churn.session o ~rng ~d:4 ~join_prob:1.0 ~leave_prob:0.0 () in
-    Alcotest.(check bool) "saturated join tick dropped" true
-      (ev.Churn.joined = None)
+    Alcotest.(check bool) "saturated join tick dropped" true (ev = [])
   done;
   Alcotest.(check int) "population unchanged" 16 (Overlay.node_count o);
   Alcotest.(check bool) "overlay still sane" true (Overlay.invariant o)
@@ -505,7 +535,7 @@ let test_churn_session_refills_after_leaves () =
     if tries = 0 then false
     else
       let ev = Churn.session o ~rng ~d:4 ~join_prob:1.0 ~leave_prob:0.0 () in
-      ev.Churn.joined <> None || join_fires (tries - 1)
+      ev <> [] || join_fires (tries - 1)
   in
   Alcotest.(check bool) "join fires once capacity frees" true (join_fires 50);
   Alcotest.(check int) "back at capacity" 16 (Overlay.node_count o)
@@ -611,6 +641,8 @@ let () =
             test_broadcast_survives_churn;
           Alcotest.test_case "late joiner needs repair" `Quick
             test_late_join_needs_repair;
+          Alcotest.test_case "recycled id starts uninformed" `Quick
+            test_recycled_id_starts_uninformed;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -162,28 +162,19 @@ let hostile_run ~with_repair ~seed ~n ~d =
   let g = Regular.sample_connected ~rng ~n ~d Regular.Pairing in
   let o = Overlay.of_graph ~capacity:(2 * n) g in
   let protocol = Algorithm.make (Params.make ~alpha:2.0 ~n_estimate:n ~d ()) in
-  let joined = ref [] in
   let on_round_end _ =
-    for _ = 1 to 4 do
-      let ev = Churn.session o ~rng ~d ~join_prob:0.5 ~leave_prob:0.5 () in
-      match ev.Churn.joined with
-      | Some v -> joined := v :: !joined
-      | None -> ()
-    done
-  in
-  let reset () =
-    let l = !joined in
-    joined := [];
-    l
+    List.concat_map
+      (fun () -> Churn.session o ~rng ~d ~join_prob:0.5 ~leave_prob:0.5 ())
+      [ (); (); (); () ]
   in
   let topology = Overlay.to_topology o in
   let fault = hostile_fault () in
   if with_repair then
     let config = Repair.config ~n () in
-    Repair.self_heal ~fault ~config ~reset ~on_round_end ~rng ~topology
+    Repair.self_heal ~fault ~config ~on_round_end ~rng ~topology
       ~protocol ~sources:[ 0 ] ()
   else
-    Engine.run ~fault ~forget_on_recover:true ~reset ~on_round_end ~rng
+    Engine.run ~fault ~forget_on_recover:true ~on_round_end ~rng
       ~topology ~protocol ~sources:[ 0 ] ()
 
 let test_hostile_plan_heals () =

@@ -413,12 +413,22 @@ let test_engine_on_round_end_called () =
   let rng = Rng.create 17 in
   let _ =
     Engine.run ~rng
-      ~on_round_end:(fun r -> calls := r :: !calls)
+      ~on_round_end:(fun r ->
+        calls := r :: !calls;
+        [])
       ~topology:(Topology.of_graph (Classic.complete 8))
       ~protocol:(pusher ~horizon:4 ())
       ~sources:[ 0 ] ()
   in
-  Alcotest.(check (list int)) "called each round" [ 4; 3; 2; 1 ] !calls
+  Alcotest.(check (list int)) "called each round" [ 4; 3; 2; 1 ] !calls;
+  Alcotest.check_raises "a change outside the capacity"
+    (Invalid_argument "Kernel.run: change id out of range") (fun () ->
+      ignore
+        (Engine.run ~rng
+           ~on_round_end:(fun _ -> [ Engine.Left 8 ])
+           ~topology:(Topology.of_graph (Classic.complete 8))
+           ~protocol:(pusher ~horizon:4 ())
+           ~sources:[ 0 ] ()))
 
 let test_engine_multi_source () =
   let res =
